@@ -6,7 +6,7 @@ package predplace_test
 // execution), identical charged cost, and with caching on identical
 // function-invocation counts (the batched predicate-cache protocol is
 // as-if-sequential). These run under -race in check.sh, so they also vet
-// the pooled-buffer and parallel fan-in plumbing for data races.
+// the pooled-buffer plumbing for data races.
 
 import (
 	"fmt"
@@ -17,7 +17,7 @@ import (
 	"predplace"
 )
 
-// orderedRows renders a result set order-sensitively (serial executors are
+// orderedRows renders a result set order-sensitively (the executor is
 // deterministic, so batch width must not change row order).
 func orderedRows(res *predplace.Result) []string {
 	out := make([]string, 0, len(res.Rows))
@@ -32,13 +32,38 @@ func orderedRows(res *predplace.Result) []string {
 }
 
 func TestRandomizedBatchAgreement(t *testing.T) {
+	db, err := predplace.Open(predplace.Config{Scale: 0.01, Tables: []int{1, 2, 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkBatchAgreement(t, db)
+}
+
+// poolPressurePages is the buffer-pool size of the pool-pressure run: far
+// below the data size (tables 1-3 at scale 0.01 span 9 pages). It is the
+// smallest pool that runs every plan shape: a 1-page pool cannot run a
+// nested-loop join, whose outer page stays pinned while the inner is read.
+const poolPressurePages = 2
+
+// TestRandomizedBatchAgreementPoolPressure repeats the agreement check on a
+// handle whose buffer pool is far smaller than the data, so nested-loop
+// rescans and multi-table plans evict each other's pages mid-query. Charged
+// cost comes from the per-query I/O tracker's simulated LRU, which is where
+// executor-mode differences in page access order would show.
+func TestRandomizedBatchAgreementPoolPressure(t *testing.T) {
 	db, err := predplace.Open(predplace.Config{
-		Scale: 0.01, Tables: []int{1, 2, 3}, Parallelism: 3,
+		Scale: 0.01, Tables: []int{1, 2, 3}, PoolPages: poolPressurePages,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.SetParallelism(1)
+	checkBatchAgreement(t, db)
+}
+
+// checkBatchAgreement runs 12 random queries on db tuple-at-a-time and at a
+// random batch width, requiring identical rows in identical order, identical
+// charged cost, and identical invocation counts.
+func checkBatchAgreement(t *testing.T, db *predplace.DB) {
 	rng := rand.New(rand.NewSource(20260806))
 	algos := predplace.Algorithms()
 	widths := []int{0, 2, 3, 7, 64, predplace.DefaultBatchSize + 1}
@@ -49,7 +74,6 @@ func TestRandomizedBatchAgreement(t *testing.T) {
 		width := widths[rng.Intn(len(widths))]
 		t.Run(fmt.Sprintf("q%02d", trial), func(t *testing.T) {
 			db.SetCaching(caching)
-			db.SetParallelism(1)
 
 			db.SetBatchSize(1)
 			tuple, err := db.Query(sql, algo)
@@ -59,12 +83,13 @@ func TestRandomizedBatchAgreement(t *testing.T) {
 
 			db.SetBatchSize(width)
 			batch, err := db.Query(sql, algo)
+			db.SetBatchSize(0)
 			if err != nil {
 				t.Fatalf("batch(%d) %v on %q: %v", width, algo, sql, err)
 			}
 
-			// Serial batched execution must reproduce the legacy run exactly:
-			// rows in the same order, same charged cost, same invocations.
+			// Batched execution must reproduce the legacy run exactly: rows
+			// in the same order, same charged cost, same invocations.
 			tupleRows, batchRows := orderedRows(tuple), orderedRows(batch)
 			if len(tupleRows) != len(batchRows) {
 				t.Fatalf("batch(%d) returned %d rows, tuple returned %d\nquery: %s",
@@ -85,38 +110,6 @@ func TestRandomizedBatchAgreement(t *testing.T) {
 					t.Fatalf("batch(%d) invoked %s %d times, tuple %d (caching=%v)\nquery: %s",
 						width, fn, bcalls, tcalls, caching, sql)
 				}
-			}
-
-			// Batched parallel execution does not preserve order, and with
-			// caching on concurrent misses may double-invoke (DESIGN.md §11),
-			// so compare multisets and charged cost with caching off.
-			db.SetCaching(false)
-			db.SetBatchSize(1)
-			serial, err := db.Query(sql, algo)
-			if err != nil {
-				t.Fatalf("serial %v on %q: %v", algo, sql, err)
-			}
-			db.SetBatchSize(width)
-			db.SetParallelism(3)
-			par, err := db.Query(sql, algo)
-			db.SetParallelism(1)
-			db.SetBatchSize(0)
-			if err != nil {
-				t.Fatalf("batch(%d)+parallel %v on %q: %v", width, algo, sql, err)
-			}
-			sc, pc := canonRows(serial), canonRows(par)
-			if len(sc) != len(pc) {
-				t.Fatalf("batch(%d)+parallel returned %d rows, serial %d\nquery: %s",
-					width, len(pc), len(sc), sql)
-			}
-			for i := range sc {
-				if sc[i] != pc[i] {
-					t.Fatalf("batch(%d)+parallel row %d differs from serial\nquery: %s", width, i, sql)
-				}
-			}
-			if scost, pcost := serial.Stats.Charged(), par.Stats.Charged(); scost != pcost {
-				t.Fatalf("batch(%d)+parallel charged %v, serial charged %v\nquery: %s",
-					width, pcost, scost, sql)
 			}
 		})
 	}

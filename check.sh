@@ -28,25 +28,26 @@ go test -race ./...
 echo "==> bench smoke (go test -bench Fig3 -benchtime 1x)"
 go test -run '^$' -bench Fig3 -benchtime 1x .
 
-echo "==> parallel-executor gate (ppbench -parallel)"
-# Runs Queries 1-5 serially and with 4-way parallelism on one database;
-# exits nonzero if the parallel executor's result sets or charged cost
-# (caching off) diverge from serial.
-go run ./cmd/ppbench -parallel -workers 4 -iters 3 -json -scale 0.02
-
 echo "==> batch-executor gate (ppbench -batch)"
-# Runs Queries 1-5 tuple-at-a-time (BatchSize 1, the legacy executor),
-# batched serial, and batched parallel on one database; exits nonzero if the
-# batched executors' result sets, row order (serial modes), or charged cost
-# diverge from tuple-at-a-time.
-go run ./cmd/ppbench -batch -workers 4 -iters 3 -json -scale 0.02
+# Runs Queries 1-5 tuple-at-a-time (BatchSize 1, the legacy executor) and
+# batched on one database; exits nonzero if the batched executor's result
+# sets, row order, or charged cost diverge from tuple-at-a-time.
+go run ./cmd/ppbench -batch -iters 3 -json -scale 0.02
+
+echo "==> pool-pressure gate (ppbench -batch at scale 0.1)"
+# The same gate at scale 0.1, where the default buffer pool (about 1/8 of
+# the data pages) is far below the data size: Query 5's nested-loop inner
+# is rescanned under eviction, so charged cost depends on the order the
+# query touches pages. Tuple and batched runs must still charge exactly the
+# same cost. No -json: BENCH_batch.json keeps the scale-0.02 record.
+go run ./cmd/ppbench -batch -iters 1 -scale 0.1
 
 echo "==> fault/timeout gate (ppbench -faults)"
 # Runs Queries 1-5 under deterministic injected read faults and aggressive
-# deadlines across serial/parallel x tuple/batched configurations; exits
-# nonzero if any run panics, hangs, silently truncates, returns an error not
-# wrapping the injected fault, or leaks pinned frames/goroutines.
-go run ./cmd/ppbench -faults -seeds 2 -workers 4 -scale 0.02
+# deadlines, tuple-at-a-time and batched; exits nonzero if any run panics,
+# hangs, silently truncates, returns an error not wrapping the injected
+# fault, or leaks pinned frames/goroutines.
+go run ./cmd/ppbench -faults -seeds 2 -scale 0.02
 
 echo "==> profiling gate (ppbench -profile)"
 # Runs Queries 1-5 plus the Figure 1 example, each unprofiled and then with
@@ -55,17 +56,18 @@ echo "==> profiling gate (ppbench -profile)"
 go run ./cmd/ppbench -profile -json -scale 0.02
 
 echo "==> predicate-transfer gate (ppbench -transfer)"
-# Runs the join queries (3-5) with predicate transfer off and on across
-# tuple/batched x serial/parallel configurations; exits nonzero if any
-# transfer-on result set diverges from transfer-off.
-go run ./cmd/ppbench -transfer -workers 4 -iters 3 -json -scale 0.02
+# Runs the join queries (3-5) with predicate transfer off and on,
+# tuple-at-a-time and batched; exits nonzero if any transfer-on result set
+# diverges from transfer-off, or if a query's batched run charges a
+# different cost than its tuple run (transfer off or on).
+go run ./cmd/ppbench -transfer -iters 3 -json -scale 0.02
 
 echo "==> top-k gate (ppbench -topk)"
-# Runs ORDER BY ... LIMIT k queries with top-k execution off and on across
-# tuple/batched x serial/parallel configurations and k in {1,10,100,1000};
-# exits nonzero if any top-k-on result diverges row-for-row from top-k-off
-# or the ordered-index flagship at k=10 misses a 2x charged-cost reduction.
-go run ./cmd/ppbench -topk -workers 4 -iters 3 -json -scale 0.02
+# Runs ORDER BY ... LIMIT k queries with top-k execution off and on,
+# tuple-at-a-time and batched, at k in {1,10,100,1000}; exits nonzero if any
+# top-k-on result diverges row-for-row from top-k-off or the ordered-index
+# flagship at k=10 misses a 2x charged-cost reduction.
+go run ./cmd/ppbench -topk -iters 3 -json -scale 0.02
 
 echo "==> multi-session server gate (ppbench -server)"
 # Runs the figure queries from 1/2/4/8 concurrent sessions against one DB
@@ -83,7 +85,8 @@ echo "==> estimate-error/feedback gate (ppbench -feedback)"
 # off, then closes the loop with feedback on; exits nonzero if any result
 # multiset diverges, the algorithms disagree at e=1, Robust's worst-case
 # charged cost loses at e>=4, or the feedback rerun fails to repair the
-# misestimate in one refresh.
+# misestimate in one refresh. Every run has a deadline, so the gate ends
+# with a verdict at any scale.
 go run ./cmd/ppbench -feedback -json -scale 0.02
 
 echo "OK"

@@ -5,12 +5,11 @@
 // Usage:
 //
 //	ppbench [-scale 0.1] [-exp all|table1|table2|fig1|fig3|fig4|fig5|fig6|fig8|fig9|fig10|plantime|caching]
-//	ppbench -parallel [-workers N] [-iters N] [-json] [-scale 0.1 | -scales 0.02,0.1]
-//	ppbench -batch [-workers N] [-iters N] [-json] [-scale 0.1 | -scales 0.02,0.1]
-//	ppbench -faults [-seeds N] [-workers N] [-json] [-scale 0.1]
+//	ppbench -batch [-iters N] [-json] [-scale 0.1 | -scales 0.02,0.1]
+//	ppbench -faults [-seeds N] [-json] [-scale 0.1]
 //	ppbench -profile [-iters N] [-json] [-scale 0.1]
-//	ppbench -transfer [-workers N] [-iters N] [-json] [-scale 0.1]
-//	ppbench -topk [-workers N] [-iters N] [-json] [-scale 0.1]
+//	ppbench -transfer [-iters N] [-json] [-scale 0.1]
+//	ppbench -topk [-iters N] [-json] [-scale 0.1]
 //	ppbench -feedback [-json] [-scale 0.1]
 //	ppbench -server [-sessions 1,2,4,8] [-iters N] [-json] [-scale 0.1]
 //
@@ -18,21 +17,18 @@
 // function invocations × per-call cost — the paper's methodology), reported
 // relative to the best plan per query.
 //
-// With -parallel, Queries 1–5 run serially and with N-way intra-query
-// parallelism on the same database (Migration plans, caching off), comparing
-// wall time, result sets, and charged cost; -json additionally writes
-// BENCH_parallel.json. With -batch, the same queries run tuple-at-a-time
-// (BatchSize 1), batched serial, and batched parallel, additionally
-// comparing allocation counts and (for the serial modes) exact row order;
-// -json writes BENCH_batch.json. Both modes exit nonzero if any executor's
-// results or charged cost diverge. -iters times each mode best-of-N so
+// With -batch, Queries 1–5 run tuple-at-a-time (BatchSize 1) and batched on
+// the same database (Migration plans, caching off), comparing wall time,
+// allocation counts, exact row order, and charged cost; -json writes
+// BENCH_batch.json. It exits nonzero if the batched executor's results or
+// charged cost diverge. -iters times each mode best-of-N so
 // millisecond-scale queries are not noise-dominated, and -scales sweeps a
 // comma-separated list of scale factors (the JSON payload becomes an array
 // when more than one scale is swept).
 //
 // With -faults, Queries 1–5 run under deterministic injected storage read
-// faults (-seeds fault sites per query) and aggressive deadlines, across
-// serial/parallel × tuple/batched configurations. Every run must end in an
+// faults (-seeds fault sites per query) and aggressive deadlines, both
+// tuple-at-a-time and batched. Every run must end in an
 // accepted outcome — clean baseline-identical rows, an error wrapping the
 // injected fault, a DNF, or a deadline error — with zero pinned buffer-pool
 // frames afterwards; -json writes BENCH_faults.json. Fault and timeout runs
@@ -44,11 +40,12 @@
 // per-operator est-vs-actual trees are printed and, with -json, written to
 // BENCH_profile.json.
 //
-// With -transfer, Queries 3–5 run with predicate transfer off and on across
-// tuple/batched × serial/parallel configurations: a serial prepass builds a
-// Bloom filter per join-key equivalence class and the main scans probe the
-// received filters before decoding. Transfer-on results must be identical to
-// transfer-off in every configuration; the report compares wall time,
+// With -transfer, Queries 3–5 run with predicate transfer off and on, both
+// tuple-at-a-time and batched: a prepass builds a Bloom filter per join-key
+// equivalence class and the main scans probe the received filters before
+// decoding. Transfer-on results must be identical to transfer-off in both
+// modes, and the batched cells must charge exactly what the tuple cells
+// charge, transfer off and on; the report compares wall time,
 // charged cost (filter builds and probes are charged — transfer is never
 // free), rows pruned, and filter false-positive rates. -json writes
 // BENCH_transfer.json.
@@ -64,10 +61,9 @@
 //
 // With -topk, ORDER BY … LIMIT k queries run with top-k execution off (full
 // facade sort) and on (bounded-heap TopK, or an early-terminating Limit over
-// an index-order scan when the ORDER BY key is a unique indexed column)
-// across tuple/batched × serial/parallel configurations and k ∈ {1, 10, 100,
-// 1000}. Top-k-on results must be row-for-row identical to top-k-off in
-// every configuration, and the ordered-index flagship at k=10 must cut the
+// an index-order scan when the ORDER BY key is a unique indexed column),
+// tuple-at-a-time and batched, at k ∈ {1, 10, 100, 1000}. Top-k-on results
+// must be row-for-row identical to top-k-off in both modes, and the ordered-index flagship at k=10 must cut the
 // charged cost at least 2× — the limit has to reach the scan, not just the
 // sort. -json writes BENCH_topk.json.
 //
@@ -79,7 +75,9 @@
 // worst-case charged cost must beat both point-estimate algorithms. A final
 // leg runs the worst misdeclaration twice with feedback-driven statistics on:
 // the harvested observation must be promoted and the re-planned second run
-// must charge no more than the first. -json writes BENCH_feedback.json.
+// must charge no more than the first. Every run has a wall-clock deadline; a
+// run that exceeds it fails the bench with an error naming the algorithm and
+// the injected error factor. -json writes BENCH_feedback.json.
 package main
 
 import (
@@ -87,7 +85,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -97,11 +94,10 @@ import (
 
 func main() {
 	scale := flag.Float64("scale", 0.1, "database scale factor (1.0 = the paper's ~110 MB)")
-	scales := flag.String("scales", "", "comma-separated scale sweep for -parallel/-batch (overrides -scale)")
+	scales := flag.String("scales", "", "comma-separated scale sweep for -batch (overrides -scale)")
 	exp := flag.String("exp", "all", "experiment id or 'all'")
 	list := flag.Bool("list", false, "list experiment ids and exit")
-	parallel := flag.Bool("parallel", false, "run the serial-vs-parallel execution bench instead of the figures")
-	batch := flag.Bool("batch", false, "run the tuple-vs-batch-vs-parallel execution bench instead of the figures")
+	batch := flag.Bool("batch", false, "run the tuple-vs-batch execution bench instead of the figures")
 	faults := flag.Bool("faults", false, "run the fault/timeout sweep instead of the figures")
 	profile := flag.Bool("profile", false, "run the per-operator profiling bench instead of the figures")
 	transfer := flag.Bool("transfer", false, "run the predicate-transfer off-vs-on bench instead of the figures")
@@ -110,9 +106,8 @@ func main() {
 	server := flag.Bool("server", false, "run the multi-session server bench instead of the figures")
 	sessions := flag.String("sessions", "1,2,4,8", "with -server, comma-separated session counts to sweep")
 	seeds := flag.Int("seeds", 3, "with -faults, fault sites tried per query")
-	workers := flag.Int("workers", 0, "parallel worker fan-out (0 = max(4, GOMAXPROCS))")
-	iters := flag.Int("iters", 1, "with -parallel/-batch, time each mode best-of-N runs")
-	jsonOut := flag.Bool("json", false, "with -parallel/-batch/-faults, also write BENCH_<mode>.json")
+	iters := flag.Int("iters", 1, "with -batch/-profile/-transfer/-topk, time each mode best-of-N runs (-server: queries per session)")
+	jsonOut := flag.Bool("json", false, "with any bench mode, also write BENCH_<mode>.json")
 	flag.Parse()
 
 	if *list {
@@ -121,7 +116,7 @@ func main() {
 	}
 
 	if *faults {
-		runFaultBench(*scale, resolveWorkers(*workers), *seeds, *jsonOut)
+		runFaultBench(*scale, *seeds, *jsonOut)
 		return
 	}
 
@@ -131,12 +126,12 @@ func main() {
 	}
 
 	if *transfer {
-		runTransferBench(*scale, resolveWorkers(*workers), *iters, *jsonOut)
+		runTransferBench(*scale, *iters, *jsonOut)
 		return
 	}
 
 	if *topk {
-		runTopKBench(*scale, resolveWorkers(*workers), *iters, *jsonOut)
+		runTopKBench(*scale, *iters, *jsonOut)
 		return
 	}
 
@@ -150,12 +145,12 @@ func main() {
 		return
 	}
 
-	if *parallel || *batch {
+	if *batch {
 		sweep, err := parseScales(*scales, *scale)
 		if err != nil {
 			fatal(err)
 		}
-		runExecBench(*batch, sweep, *workers, *iters, *jsonOut)
+		runBatchBench(sweep, *iters, *jsonOut)
 		return
 	}
 
@@ -218,85 +213,50 @@ func parseScales(list string, single float64) ([]float64, error) {
 	return out, nil
 }
 
-// runExecBench executes the serial-vs-parallel comparison (or, with
-// batchMode, the tuple-vs-batch-vs-parallel comparison) at each scale in
-// the sweep and exits nonzero when any executor mode diverges.
-func runExecBench(batchMode bool, sweep []float64, workers, iters int, jsonOut bool) {
-	workers = resolveWorkers(workers)
-	if iters < 1 {
-		iters = 1
-	}
-	name, file := "parallel", "BENCH_parallel.json"
-	if batchMode {
-		name, file = "batch", "BENCH_batch.json"
-	}
+// runBatchBench executes the tuple-vs-batch comparison at each scale in the
+// sweep and exits nonzero when the batched executor diverges.
+func runBatchBench(sweep []float64, iters int, jsonOut bool) {
 	pass := true
 	var payloads []any
 	for _, scale := range sweep {
-		fmt.Fprintf(os.Stderr, "building benchmark database at scale %.3f (%d workers, %d iters)…\n",
-			scale, workers, iters)
-		h, err := harness.NewParallel(scale, workers)
+		fmt.Fprintf(os.Stderr, "building benchmark database at scale %.3f (%d iters)…\n", scale, iters)
+		h, err := harness.New(scale)
 		if err != nil {
 			fatal(err)
 		}
-		if batchMode {
-			bench, err := h.RunBatchBench(workers, iters)
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Print(bench)
-			pass = pass && bench.Pass
-			payloads = append(payloads, bench)
-		} else {
-			bench, err := h.RunParallelBenchIters(workers, iters)
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Print(bench)
-			pass = pass && bench.Pass
-			payloads = append(payloads, bench)
+		bench, err := h.RunBatchBench(iters)
+		if err != nil {
+			fatal(err)
 		}
+		fmt.Print(bench)
+		pass = pass && bench.Pass
+		payloads = append(payloads, bench)
 	}
 	if jsonOut {
 		data, err := marshalSweep(payloads)
 		if err != nil {
 			fatal(err)
 		}
-		if err := os.WriteFile(file, append(data, '\n'), 0o644); err != nil {
+		if err := os.WriteFile("BENCH_batch.json", append(data, '\n'), 0o644); err != nil {
 			fatal(err)
 		}
-		fmt.Fprintln(os.Stderr, "wrote", file)
+		fmt.Fprintln(os.Stderr, "wrote BENCH_batch.json")
 	}
 	if !pass {
-		fmt.Fprintf(os.Stderr, "ppbench: %s executor diverged\n", name)
+		fmt.Fprintln(os.Stderr, "ppbench: batch executor diverged")
 		os.Exit(1)
 	}
 }
 
-// resolveWorkers maps the -workers flag to an effective fan-out.
-func resolveWorkers(workers int) int {
-	if workers > 0 {
-		return workers
-	}
-	workers = runtime.GOMAXPROCS(0)
-	if workers < 4 {
-		// Exercise the parallel operators even on small machines; extra
-		// workers beyond the core count still validate correctness.
-		workers = 4
-	}
-	return workers
-}
-
 // runFaultBench executes the fault/timeout sweep and exits nonzero when any
 // run violates the executor's failure contract.
-func runFaultBench(scale float64, workers, seeds int, jsonOut bool) {
-	fmt.Fprintf(os.Stderr, "building benchmark database at scale %.3f (%d workers, %d seeds)…\n",
-		scale, workers, seeds)
-	h, err := harness.NewParallel(scale, workers)
+func runFaultBench(scale float64, seeds int, jsonOut bool) {
+	fmt.Fprintf(os.Stderr, "building benchmark database at scale %.3f (%d seeds)…\n", scale, seeds)
+	h, err := harness.New(scale)
 	if err != nil {
 		fatal(err)
 	}
-	bench, err := h.RunFaultBench(workers, seeds)
+	bench, err := h.RunFaultBench(seeds)
 	if err != nil {
 		fatal(err)
 	}
@@ -348,15 +308,15 @@ func runProfileBench(scale float64, iters int, jsonOut bool) {
 }
 
 // runTransferBench executes the predicate-transfer off-vs-on comparison and
-// exits nonzero when transfer changed any result set.
-func runTransferBench(scale float64, workers, iters int, jsonOut bool) {
-	fmt.Fprintf(os.Stderr, "building benchmark database at scale %.3f (%d workers, %d iters)…\n",
-		scale, workers, iters)
-	h, err := harness.NewParallel(scale, workers)
+// exits nonzero when transfer changed any result set or batching changed
+// any charged cost.
+func runTransferBench(scale float64, iters int, jsonOut bool) {
+	fmt.Fprintf(os.Stderr, "building benchmark database at scale %.3f (%d iters)…\n", scale, iters)
+	h, err := harness.New(scale)
 	if err != nil {
 		fatal(err)
 	}
-	bench, err := h.RunTransferBench(workers, iters)
+	bench, err := h.RunTransferBench(iters)
 	if err != nil {
 		fatal(err)
 	}
@@ -372,21 +332,20 @@ func runTransferBench(scale float64, workers, iters int, jsonOut bool) {
 		fmt.Fprintln(os.Stderr, "wrote BENCH_transfer.json")
 	}
 	if !bench.Pass {
-		fmt.Fprintln(os.Stderr, "ppbench: predicate transfer changed a result set")
+		fmt.Fprintln(os.Stderr, "ppbench: predicate transfer changed a result set, or batching changed a charged cost")
 		os.Exit(1)
 	}
 }
 
 // runTopKBench executes the top-k-execution off-vs-on comparison and exits
 // nonzero when it changed any result set or missed the flagship reduction.
-func runTopKBench(scale float64, workers, iters int, jsonOut bool) {
-	fmt.Fprintf(os.Stderr, "building benchmark database at scale %.3f (%d workers, %d iters)…\n",
-		scale, workers, iters)
-	h, err := harness.NewParallel(scale, workers)
+func runTopKBench(scale float64, iters int, jsonOut bool) {
+	fmt.Fprintf(os.Stderr, "building benchmark database at scale %.3f (%d iters)…\n", scale, iters)
+	h, err := harness.New(scale)
 	if err != nil {
 		fatal(err)
 	}
-	bench, err := h.RunTopKBench(workers, iters)
+	bench, err := h.RunTopKBench(iters)
 	if err != nil {
 		fatal(err)
 	}

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	ppserver [-addr :8080] [-scale 0.05] [-tables 1,2,3] [-caching]
-//	         [-transfer] [-topk] [-parallelism N] [-budget F]
+//	         [-transfer] [-topk] [-budget F]
 //	         [-max-concurrent N] [-max-queue N] [-queue-wait D]
 //	         [-plan-cache N] [-quota tenant=F,...]
 //
@@ -42,7 +42,6 @@ func main() {
 	caching := flag.Bool("caching", false, "enable predicate caching")
 	transfer := flag.Bool("transfer", false, "enable predicate transfer")
 	topk := flag.Bool("topk", false, "enable top-k execution")
-	parallelism := flag.Int("parallelism", 1, "intra-query worker fan-out (<0 = GOMAXPROCS)")
 	budget := flag.Float64("budget", 0, "per-query charged-cost budget (0 = unlimited)")
 	maxConc := flag.Int("max-concurrent", 0, "queries executing at once (0 = GOMAXPROCS)")
 	maxQueue := flag.Int("max-queue", 0, "admission queue depth (0 = 2x concurrent, <0 = none)")
@@ -59,8 +58,7 @@ func main() {
 	db, err := predplace.Open(predplace.Config{
 		Scale: *scale, Tables: tabs,
 		Caching: *caching, Transfer: *transfer, TopK: *topk,
-		Parallelism: *parallelism, Budget: *budget,
-		PlanCacheSize: *planCache,
+		Budget: *budget, PlanCacheSize: *planCache,
 	})
 	if err != nil {
 		fatal(err)

@@ -1,8 +1,8 @@
 package predplace_test
 
 // The randomized fault sweep: benchmark queries run under deterministic
-// injected read faults and aggressive deadlines across the executor's
-// serial/parallel × tuple/batched configurations. Per seed, every run must
+// injected read faults and aggressive deadlines, tuple-at-a-time and
+// batched. Per seed, every run must
 // end in an accepted outcome — clean rows identical to the fault-free
 // baseline, an error wrapping the injected fault, a DNF, or a deadline
 // error — with zero pinned buffer-pool frames and the goroutine baseline
@@ -28,7 +28,7 @@ func TestFaultSweep(t *testing.T) {
 	if testing.Short() {
 		seeds = 1
 	}
-	b, err := h.RunFaultBench(4, seeds)
+	b, err := h.RunFaultBench(seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,14 +72,14 @@ func TestQueryContextCancel(t *testing.T) {
 }
 
 // TestFaultEveryReadSite exhaustively fails each page read of one join
-// query, serially and in parallel: whichever operator the fault lands in —
-// scan, join build, probe, rebuilt nested-loop inner — the query must
-// return a wrapped injected-fault error or a clean result, and teardown
-// must leave zero pinned frames and no stranded goroutines. This is the
-// regression net over every mid-query error site the pin/goroutine audit
-// found (half-opened nested-loop inners, abandoned fan-in batches).
+// query: whichever operator the fault lands in — scan, join build, probe,
+// rebuilt nested-loop inner — the query must return a wrapped
+// injected-fault error or a clean result, and teardown must leave zero
+// pinned frames and no stranded goroutines. This is the regression net over
+// every mid-query error site the pin audit found (half-opened nested-loop
+// inners).
 func TestFaultEveryReadSite(t *testing.T) {
-	db, err := predplace.Open(predplace.Config{Scale: 0.01, Tables: []int{1, 2}, Parallelism: 4})
+	db, err := predplace.Open(predplace.Config{Scale: 0.01, Tables: []int{1, 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,25 +102,21 @@ func TestFaultEveryReadSite(t *testing.T) {
 		t.Fatal("no page reads observed")
 	}
 
-	for _, p := range []int{1, 4} {
-		db.SetParallelism(p)
-		for n := int64(1); n <= reads; n++ {
-			audit := harness.StartLeakAudit()
-			if err := db.EvictPool(); err != nil {
-				t.Fatal(err)
-			}
-			db.SetFaults(&predplace.FaultConfig{FailReadN: n})
-			_, err := db.Query(sql, predplace.Migration)
-			db.SetFaults(nil)
-			if err != nil && !errors.Is(err, predplace.ErrInjectedFault) {
-				t.Fatalf("P=%d failN=%d: error does not wrap the injected fault: %v", p, n, err)
-			}
-			if err := audit.Verify(db); err != nil {
-				t.Fatalf("P=%d failN=%d: %v", p, n, err)
-			}
+	for n := int64(1); n <= reads; n++ {
+		audit := harness.StartLeakAudit()
+		if err := db.EvictPool(); err != nil {
+			t.Fatal(err)
+		}
+		db.SetFaults(&predplace.FaultConfig{FailReadN: n})
+		_, err := db.Query(sql, predplace.Migration)
+		db.SetFaults(nil)
+		if err != nil && !errors.Is(err, predplace.ErrInjectedFault) {
+			t.Fatalf("failN=%d: error does not wrap the injected fault: %v", n, err)
+		}
+		if err := audit.Verify(db); err != nil {
+			t.Fatalf("failN=%d: %v", n, err)
 		}
 	}
-	db.SetParallelism(1)
 }
 
 // TestFaultTransferPrepass walks an injected read fault through every page
@@ -155,41 +151,37 @@ func TestFaultTransferPrepass(t *testing.T) {
 	baseRows := canonRows(base)
 	baseCharged := base.Stats.Charged()
 
-	for _, p := range []int{1, 4} {
-		db.SetParallelism(p)
-		for n := int64(1); n <= reads; n++ {
-			audit := harness.StartLeakAudit()
-			if err := db.EvictPool(); err != nil {
-				t.Fatal(err)
+	for n := int64(1); n <= reads; n++ {
+		audit := harness.StartLeakAudit()
+		if err := db.EvictPool(); err != nil {
+			t.Fatal(err)
+		}
+		db.SetFaults(&predplace.FaultConfig{FailReadN: n})
+		res, err := db.Query(sql, predplace.Migration)
+		db.SetFaults(nil)
+		if err != nil && !errors.Is(err, predplace.ErrInjectedFault) {
+			t.Fatalf("failN=%d: error does not wrap the injected fault: %v", n, err)
+		}
+		if err == nil {
+			got := canonRows(res)
+			if len(got) != len(baseRows) {
+				t.Fatalf("failN=%d: clean run returned %d rows, baseline %d", n, len(got), len(baseRows))
 			}
-			db.SetFaults(&predplace.FaultConfig{FailReadN: n})
-			res, err := db.Query(sql, predplace.Migration)
-			db.SetFaults(nil)
-			if err != nil && !errors.Is(err, predplace.ErrInjectedFault) {
-				t.Fatalf("P=%d failN=%d: error does not wrap the injected fault: %v", p, n, err)
-			}
-			if err == nil {
-				got := canonRows(res)
-				if len(got) != len(baseRows) {
-					t.Fatalf("P=%d failN=%d: clean run returned %d rows, baseline %d", p, n, len(got), len(baseRows))
-				}
-				for k := range got {
-					if got[k] != baseRows[k] {
-						t.Fatalf("P=%d failN=%d: clean run row %d differs from baseline", p, n, k)
-					}
-				}
-				// Charged cost is deterministic; a survived fault must not
-				// have charged anything extra (failed I/O is never charged).
-				if c := res.Stats.Charged(); c > baseCharged+1e-6 || c < baseCharged-1e-6 {
-					t.Fatalf("P=%d failN=%d: charged %v, baseline %v", p, n, c, baseCharged)
+			for k := range got {
+				if got[k] != baseRows[k] {
+					t.Fatalf("failN=%d: clean run row %d differs from baseline", n, k)
 				}
 			}
-			if err := audit.Verify(db); err != nil {
-				t.Fatalf("P=%d failN=%d: %v", p, n, err)
+			// Charged cost is deterministic; a survived fault must not
+			// have charged anything extra (failed I/O is never charged).
+			if c := res.Stats.Charged(); c > baseCharged+1e-6 || c < baseCharged-1e-6 {
+				t.Fatalf("failN=%d: charged %v, baseline %v", n, c, baseCharged)
 			}
 		}
+		if err := audit.Verify(db); err != nil {
+			t.Fatalf("failN=%d: %v", n, err)
+		}
 	}
-	db.SetParallelism(1)
 
 	// A charged-cost budget the prepass itself exceeds must surface as a
 	// DNF — the paper's did-not-finish outcome — not an error, with nothing

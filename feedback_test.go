@@ -15,7 +15,7 @@ import (
 )
 
 // TestRandomizedFeedbackAgreement sweeps random conjunctive queries across
-// placement algorithms, parallelism, and batch sizes. Two invariants:
+// placement algorithms and batch sizes. Two invariants:
 // feedback harvesting never changes the result multiset, and a rerun after
 // harvesting (planning against observed statistics) never charges more than
 // the first run — corrected estimates can only steer the optimizer toward
@@ -31,7 +31,6 @@ func TestRandomizedFeedbackAgreement(t *testing.T) {
 	for trial := 0; trial < 12; trial++ {
 		sql := genQuery(rng)
 		algo := algos[trial%len(algos)]
-		db.SetParallelism([]int{1, 4}[trial%2])
 		db.SetBatchSize([]int{1, 256}[(trial/2)%2])
 		t.Run(fmt.Sprintf("q%02d", trial), func(t *testing.T) {
 			db.SetFeedback(false)

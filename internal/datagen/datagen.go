@@ -56,7 +56,7 @@ type Config struct {
 	// against a 110 MB database.
 	PoolPages int
 	// PoolShards stripes the buffer pool into independently locked shards
-	// for parallel execution (0 or 1 = the single classic LRU pool).
+	// (0 or 1 = the single classic LRU pool).
 	PoolShards int
 	// Seed perturbs the value permutations.
 	Seed int64

@@ -12,19 +12,14 @@ import (
 	"predplace/internal/query"
 )
 
-// abortMatrix is the (Parallelism, BatchSize) grid every abort-path
-// regression runs over: serial and parallel, tuple-at-a-time and batched.
-var abortMatrix = []struct {
-	parallelism int
-	batchSize   int
-}{
-	{1, 1}, {1, 256}, {4, 1}, {4, 256},
-}
+// abortBatchSizes are the BatchSize settings every abort-path regression
+// runs over: tuple-at-a-time and batched.
+var abortBatchSizes = []int{1, 256}
 
 // waitTeardown polls until the executor's teardown contract holds: zero
 // pinned buffer-pool frames and the goroutine count back at (or below) the
-// pre-query baseline. Parallel workers exit asynchronously after Close, so
-// an instantaneous assertion would flake.
+// pre-query baseline. Goroutines may exit shortly after the query returns,
+// so an instantaneous assertion would flake.
 func waitTeardown(t *testing.T, env *Env, baseline int) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
@@ -61,26 +56,25 @@ func costlyFilterPlan(t *testing.T, env *Env) plan.Node {
 }
 
 // TestBudgetAbortTeardownMatrix is the regression for budget aborts raised
-// inside workers: at every (Parallelism, BatchSize) combination the abort
-// must fold into DNF, shut the whole fan-in down, unpin every frame, and
-// strand no pooled row buffers or goroutines.
+// mid-stream: at every BatchSize the abort must fold into DNF, unpin every
+// frame, and strand no pooled row buffers or goroutines.
 func TestBudgetAbortTeardownMatrix(t *testing.T) {
 	_, env := newEnv(t, []int{1}, false)
 	root := costlyFilterPlan(t, env)
-	for _, m := range abortMatrix {
-		env.Parallelism, env.BatchSize = m.parallelism, m.batchSize
+	for _, bs := range abortBatchSizes {
+		env.BatchSize = bs
 		env.Budget = 500 // a handful of 100-unit calls
 		baseline := runtime.NumGoroutine()
 		res, err := Run(env, root)
 		if err != nil {
-			t.Fatalf("P=%d BS=%d: %v", m.parallelism, m.batchSize, err)
+			t.Fatalf("BS=%d: %v", bs, err)
 		}
 		if !res.DNF {
-			t.Fatalf("P=%d BS=%d: budget abort should report DNF", m.parallelism, m.batchSize)
+			t.Fatalf("BS=%d: budget abort should report DNF", bs)
 		}
 		waitTeardown(t, env, baseline)
 	}
-	env.Parallelism, env.BatchSize, env.Budget = 1, 0, 0
+	env.BatchSize, env.Budget = 0, 0
 }
 
 // TestCancelTeardownMatrix runs the same grid under an already-canceled
@@ -92,17 +86,16 @@ func TestCancelTeardownMatrix(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	env.Ctx = ctx
-	for _, m := range abortMatrix {
-		env.Parallelism, env.BatchSize = m.parallelism, m.batchSize
+	for _, bs := range abortBatchSizes {
+		env.BatchSize = bs
 		baseline := runtime.NumGoroutine()
 		_, err := Run(env, root)
 		if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
-			t.Fatalf("P=%d BS=%d: want ErrCanceled wrapping context.Canceled, got %v",
-				m.parallelism, m.batchSize, err)
+			t.Fatalf("BS=%d: want ErrCanceled wrapping context.Canceled, got %v", bs, err)
 		}
 		waitTeardown(t, env, baseline)
 	}
-	env.Ctx, env.Parallelism, env.BatchSize = nil, 1, 0
+	env.Ctx, env.BatchSize = nil, 0
 }
 
 // TestDeadlineTeardownMatrix covers the deadline flavor: an expired
@@ -114,22 +107,21 @@ func TestDeadlineTeardownMatrix(t *testing.T) {
 	defer cancel()
 	<-ctx.Done()
 	env.Ctx = ctx
-	for _, m := range abortMatrix {
-		env.Parallelism, env.BatchSize = m.parallelism, m.batchSize
+	for _, bs := range abortBatchSizes {
+		env.BatchSize = bs
 		baseline := runtime.NumGoroutine()
 		_, err := Run(env, root)
 		if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("P=%d BS=%d: want ErrCanceled wrapping DeadlineExceeded, got %v",
-				m.parallelism, m.batchSize, err)
+			t.Fatalf("BS=%d: want ErrCanceled wrapping DeadlineExceeded, got %v", bs, err)
 		}
 		waitTeardown(t, env, baseline)
 	}
-	env.Ctx, env.Parallelism, env.BatchSize = nil, 1, 0
+	env.Ctx, env.BatchSize = nil, 0
 }
 
 // TestCancelDuringJoin cancels mid-join (hash build past the 1024-row
-// cadence) to exercise the join operators' abort paths, serial and
-// parallel.
+// cadence) to exercise the join operators' abort paths, tuple-at-a-time and
+// batched.
 func TestCancelDuringJoin(t *testing.T) {
 	db, env := newEnv(t, []int{1, 9}, false)
 	q, err := query.NewQuery([]string{"t1", "t9"}, []*query.Predicate{{
@@ -147,14 +139,14 @@ func TestCancelDuringJoin(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	env.Ctx = ctx
-	for _, p := range []int{1, 4} {
-		env.Parallelism = p
+	for _, bs := range abortBatchSizes {
+		env.BatchSize = bs
 		baseline := runtime.NumGoroutine()
 		_, err := Run(env, j)
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("P=%d: want context.Canceled, got %v", p, err)
+			t.Fatalf("BS=%d: want context.Canceled, got %v", bs, err)
 		}
 		waitTeardown(t, env, baseline)
 	}
-	env.Ctx, env.Parallelism = nil, 1
+	env.Ctx, env.BatchSize = nil, 0
 }

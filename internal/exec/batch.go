@@ -17,8 +17,8 @@ import (
 
 // DefaultBatchSize is the rows-per-NextBatch width used when Env.BatchSize
 // is 0. Large enough to amortize per-batch costs (one slab allocation, one
-// shard lock per predicate-cache shard, one channel hop per exchange
-// message), small enough that a batch of 100-byte tuples stays cache-warm.
+// shard lock per predicate-cache shard), small enough that a batch of
+// 100-byte tuples stays cache-warm.
 const DefaultBatchSize = 256
 
 // BatchIterator is the optional batch fast path of the iterator contract.
@@ -84,7 +84,7 @@ func (a *rowAlloc) next(width int) expr.Row {
 }
 
 // rowBufPool recycles the []expr.Row batch buffers operators shuttle rows
-// through (pump buffers, exchange messages, worker task batches). Only the
+// through (pump buffers, top-k heaps, join input batches). Only the
 // slice headers are pooled — rows themselves are owned by whoever received
 // them — so a buffer may be recycled as soon as its rows have been handed
 // off.

@@ -4,13 +4,10 @@
 // reports the paper's measurement: charged cost = physical page I/Os +
 // synthetic spill I/Os + Σ (invocations × per-call cost).
 //
-// With Env.Parallelism > 1 the engine adds intra-query parallelism: heap
-// scans are range-partitioned across workers (an exchange operator),
-// expensive filters evaluate predicates on a bounded worker pool, and hash
-// joins build and probe hash-partitioned tables in parallel. Charged-cost
-// accounting is parallelism-invariant: page I/O, spill, and invocation
-// counters are atomic and tuple-exact, so with predicate caching off a
-// parallel run charges bit-for-bit what the serial run charges.
+// Each query runs on one goroutine: a serial operator tree, tuple-at-a-time
+// or batched (Env.BatchSize). Env's accounting is still concurrency-safe,
+// because any number of sessions execute their own Envs at once over one
+// shared catalog, pool and disk.
 package exec
 
 import (
@@ -40,9 +37,7 @@ var ErrBudgetExceeded = errors.New("exec: charged-cost budget exceeded")
 var ErrCanceled = errors.New("exec: query canceled")
 
 // Env is the execution context of one query. Run one query at a time per
-// Env; within a query, the engine's own parallel operators may consume the
-// Env from multiple goroutines (its accounting is concurrency-safe). All
-// per-query mutable state — I/O accounting, synthetic charges, UDF
+// Env. All per-query mutable state — I/O accounting, synthetic charges, UDF
 // invocation counters, predicate-cache contents — lives here, so any number
 // of Envs over one catalog, pool, and disk execute concurrently without
 // observing each other's charges.
@@ -50,7 +45,7 @@ type Env struct {
 	// Ctx, when non-nil, cancels the query: every operator observes it on
 	// the same cadence as the charged-cost budget check (checkAbort), so a
 	// canceled or timed-out query unwinds promptly through the ordinary
-	// error path — serial, parallel, and batched alike — with no extra
+	// error path — tuple-at-a-time and batched alike — with no extra
 	// charges on the fault-free path.
 	Ctx context.Context
 	// Cat resolves tables and functions.
@@ -65,11 +60,6 @@ type Env struct {
 	Budget float64
 	// CountOnly discards result rows, keeping only the count.
 	CountOnly bool
-	// Parallelism caps the worker fan-out of parallel operators (exchange
-	// scans, parallel filters, partitioned hash joins). 0 or 1 executes
-	// the classic serial Volcano tree — the default, which reproduces the
-	// paper's figures byte-for-byte.
-	Parallelism int
 	// BatchSize sets the rows-per-batch width of the vectorized NextBatch
 	// fast path: 0 uses DefaultBatchSize, 1 disables batching entirely
 	// (exact legacy tuple-at-a-time execution), larger values batch that
@@ -94,9 +84,9 @@ type Env struct {
 	// main plan runs, Bloom filters flood selectivity across the join
 	// graph's equality classes and the plan's scans consult them to drop
 	// non-joining rows early (DESIGN.md §16). Filter builds and probes are
-	// charged into the cost model (never free), and the pass is serial and
+	// charged into the cost model (never free), and the pass is
 	// deterministic, so results and charged cost stay invariant across
-	// Parallelism and BatchSize. Off by default: byte-identical execution.
+	// BatchSize. Off by default: byte-identical execution.
 	Transfer bool
 
 	// tracker is the query's private I/O ledger: a cold-pool simulation with
@@ -108,7 +98,7 @@ type Env struct {
 	// funcCalls counts this query's UDF invocations per function — the state
 	// that used to live (shared, racy across sessions) on the catalog's
 	// FuncDef objects. Guarded by funcMu; per-function counters are atomics
-	// so parallel workers bump them without re-entering the map lock.
+	// so a bump does not re-enter the map lock.
 	funcMu    sync.Mutex
 	funcCalls map[*expr.FuncDef]*atomic.Int64
 	// syntheticIO accumulates bulk synthetic charges (external-sort spill);
@@ -119,33 +109,18 @@ type Env struct {
 	spillTuples atomic.Int64
 	// bloomAdds and bloomProbes count predicate-transfer filter operations;
 	// like spillTuples, totals are count×constant products, so the charge is
-	// exact in any evaluation order (parallelism/batching-invariant).
+	// exact in any evaluation order (batching-invariant).
 	bloomAdds   atomic.Int64
 	bloomProbes atomic.Int64
 	// transfer holds the prepass's filters and counters for the running
 	// query (nil when Transfer is off or the plan has no transferable join).
 	transfer *transferState
-	// buildSerial forces serial operators while building an ordered Limit's
-	// subtree: parallel scans and filters do not preserve row order, and the
-	// Limit's early termination is only correct on an order-preserving
-	// chain. Set and restored around the recursive child build (which runs
-	// single-threaded before execution starts; nested-loop runtime rebuilds
-	// only read it, and ordered chains contain no joins).
-	buildSerial bool
 
 	traceMu sync.Mutex
 	trace   map[plan.Node]*int64
 	// prof holds per-node runtime counters; non-nil only while Profile is
 	// on, so the default path never consults or allocates it per row.
 	prof map[plan.Node]*opCounters
-}
-
-// workers returns the effective parallel fan-out (1 = serial).
-func (e *Env) workers() int {
-	if e.Parallelism > 1 {
-		return e.Parallelism
-	}
-	return 1
 }
 
 // batchSize returns the effective NextBatch width (1 = tuple-at-a-time).
@@ -157,18 +132,6 @@ func (e *Env) batchSize() int {
 		return 1
 	}
 	return e.BatchSize
-}
-
-// exchangeBatch is the rows-per-message width of parallel operators'
-// channels. Batched configurations reuse the batch width so one exchange
-// hop moves one full batch; with batching off it falls back to the classic
-// parallelBatch grouping (channel sends were always batched — per-row
-// sends would drown the pipeline in synchronization).
-func (e *Env) exchangeBatch() int {
-	if bs := e.batchSize(); bs > 1 {
-		return bs
-	}
-	return parallelBatch
 }
 
 // begin resets the per-query state at query start: a fresh private I/O
@@ -191,7 +154,6 @@ func (e *Env) begin() {
 	e.bloomAdds.Store(0)
 	e.bloomProbes.Store(0)
 	e.transfer = nil
-	e.buildSerial = false
 	e.trace = map[plan.Node]*int64{}
 	if e.Profile {
 		e.prof = map[plan.Node]*opCounters{}
@@ -201,9 +163,7 @@ func (e *Env) begin() {
 }
 
 // trk returns the query's private I/O tracker, creating one lazily for
-// entry points that bypass begin (MatchingTIDs). Lazy creation is safe:
-// every entry point starts single-threaded, before parallel operators fan
-// out.
+// entry points that bypass begin (MatchingTIDs).
 func (e *Env) trk() *storage.IOTracker {
 	if e.tracker == nil {
 		e.tracker = storage.NewIOTracker(e.Pool)
@@ -285,7 +245,7 @@ func (e *Env) ChargeSynthetic(units float64) {
 
 // ChargeSpillTuple charges one tuple's worth of Grace-hash partition spill.
 // The charge is a counter, not a float accumulation, so the total is exact
-// and independent of the order parallel workers charge it in.
+// and independent of the order it is charged in.
 func (e *Env) ChargeSpillTuple() { e.spillTuples.Add(1) }
 
 // ChargeBloomAdd charges n predicate-transfer filter insertions
@@ -309,8 +269,7 @@ func (e *Env) synthetic() float64 {
 
 // Charged returns the charged cost so far: the query's page I/Os plus
 // synthetic I/O plus function-invocation charges — all read from per-Env
-// state, so concurrent sessions' figures never bleed into each other. Safe
-// to call from parallel workers.
+// state, so concurrent sessions' figures never bleed into each other.
 func (e *Env) Charged() float64 {
 	return float64(e.trk().Stats().Total()) + e.synthetic() + e.funcCharge()
 }
@@ -319,7 +278,7 @@ func (e *Env) Charged() float64 {
 // existing budget-check cadence: it returns ErrBudgetExceeded when the
 // charged cost passed the budget, and an ErrCanceled-wrapped context cause
 // when Ctx is canceled. Both conditions abort through the ordinary error
-// path, so iterator teardown (Close, unpin, worker shutdown) runs exactly
+// path, so iterator teardown (Close, unpin) runs exactly
 // as it does for any other execution error.
 func (e *Env) checkAbort() error {
 	if e.Budget > 0 && e.Charged() > e.Budget {
@@ -336,9 +295,8 @@ func (e *Env) checkAbort() error {
 }
 
 // nodeCounter returns the per-node row counter for EXPLAIN ANALYZE,
-// creating it on first use. Safe for concurrent Build calls (nested-loop
-// joins rebuild their inner subtree mid-query, possibly from a parallel
-// operator's worker goroutine).
+// creating it on first use. Nested-loop joins rebuild their inner subtree
+// mid-query, so a node may be looked up more than once.
 func (e *Env) nodeCounter(n plan.Node) *int64 {
 	e.traceMu.Lock()
 	defer e.traceMu.Unlock()
@@ -351,8 +309,7 @@ func (e *Env) nodeCounter(n plan.Node) *int64 {
 }
 
 // nodeProf returns the per-node profiling counters, creating them on first
-// use. Only called while profiling is on (e.prof non-nil); safe for
-// concurrent Build calls, like nodeCounter.
+// use. Only called while profiling is on (e.prof non-nil).
 func (e *Env) nodeProf(n plan.Node) *opCounters {
 	e.traceMu.Lock()
 	defer e.traceMu.Unlock()

@@ -42,9 +42,6 @@ func Build(e *Env, n plan.Node) (Iterator, error) {
 func build(e *Env, n plan.Node) (Iterator, error) {
 	switch t := n.(type) {
 	case *plan.SeqScan:
-		if e.workers() > 1 && !e.buildSerial {
-			return newParallelSeqScan(e, t)
-		}
 		return newSeqScan(e, t)
 	case *plan.IndexScan:
 		return newIndexScan(e, t)
@@ -59,9 +56,6 @@ func build(e *Env, n plan.Node) (Iterator, error) {
 		}
 		if e.prof != nil {
 			cp.prof = e.nodeProf(t)
-		}
-		if e.workers() > 1 && !e.buildSerial && t.Pred.IsExpensive() {
-			return newParallelFilter(e, in, cp), nil
 		}
 		return &filterIter{e: e, in: in, pred: cp}, nil
 	case *plan.Join:

@@ -3,7 +3,7 @@ package exec
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"predplace/internal/btree"
 	"predplace/internal/catalog"
@@ -21,9 +21,6 @@ func buildJoin(e *Env, j *plan.Join) (Iterator, error) {
 	case plan.IndexNestLoop:
 		return newIndexNLJoin(e, j)
 	case plan.HashJoin:
-		if e.workers() > 1 {
-			return newParallelHashJoin(e, j)
-		}
 		return newHashJoin(e, j)
 	case plan.MergeJoin:
 		return newMergeJoin(e, j)
@@ -101,7 +98,7 @@ func (n *nlJoinIter) Next() (expr.Row, bool, error) {
 			// Store the rebuilt inner before opening it: if Open fails the
 			// join's Close still reaches the new subtree (Close on a
 			// half-opened iterator is safe), so a mid-query Open fault cannot
-			// strand pinned pages or exchange goroutines.
+			// strand pinned pages.
 			n.inner = inner
 			if err := inner.Open(); err != nil {
 				return nil, false, err
@@ -702,8 +699,8 @@ func (m *mergeJoinIter) Open() error {
 	}
 	sortSide := func(rows []expr.Row, idx int) {
 		m.e.ChargeSynthetic(float64(len(rows)) * cost.SortSpillPerTuple)
-		sort.SliceStable(rows, func(a, b int) bool {
-			return rows[a][idx].Compare(rows[b][idx]) < 0
+		slices.SortStableFunc(rows, func(a, b expr.Row) int {
+			return a[idx].Compare(b[idx])
 		})
 	}
 	if m.node.SortOuter {

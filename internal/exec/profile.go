@@ -24,9 +24,7 @@ import (
 	"predplace/internal/storage"
 )
 
-// opCounters accumulates one plan node's runtime counters. All fields are
-// atomics because parallel operators (worker-pool filters, partitioned hash
-// joins) update a node's counters from several goroutines at once.
+// opCounters accumulates one plan node's runtime counters.
 type opCounters struct {
 	opens   atomic.Int64
 	batches atomic.Int64
@@ -97,9 +95,6 @@ func (c *opCounters) io() storage.IOStats {
 //
 // Timings and I/O are inclusive: a parent's window spans its children's work,
 // matching the cumulative semantics of the optimizer's per-node EstCost.
-// Under parallelism the attribution of a page to one node is best-effort
-// (workers overlap), but the root's window covers the whole query, so totals
-// are exact.
 type profIter struct {
 	e    *Env
 	in   Iterator
@@ -186,7 +181,7 @@ type OpProfile struct {
 	// is observational only — it is never part of the charged cost.
 	WallNs int64 `json:"wall_ns"`
 	// IO is the physical page traffic attributed to the operator (children
-	// included; best-effort attribution under parallelism, exact at the root).
+	// included).
 	IO storage.IOStats `json:"io"`
 	// PredEvals counts predicate evaluations at this node.
 	PredEvals int64 `json:"pred_evals,omitempty"`
@@ -253,18 +248,18 @@ func assembleProfile(e *Env, n plan.Node) *OpProfile {
 	rows := *e.nodeCounter(n)
 	c := e.nodeProf(n)
 	p := &OpProfile{
-		Op:          n.Describe(),
-		EstRows:     n.Card(),
-		EstCost:     n.Cost(),
-		EstSel:      estSel(n),
-		ActRows:     rows,
-		ErrFactor:   errFactor(n.Card(), rows),
-		Opens:       c.opens.Load(),
-		Batches:     c.batches.Load(),
-		WallNs:      c.wallNs.Load(),
-		IO:          c.io(),
-		PredEvals:   c.predEvals.Load(),
-		Invocations: c.invocations.Load(),
+		Op:             n.Describe(),
+		EstRows:        n.Card(),
+		EstCost:        n.Cost(),
+		EstSel:         estSel(n),
+		ActRows:        rows,
+		ErrFactor:      errFactor(n.Card(), rows),
+		Opens:          c.opens.Load(),
+		Batches:        c.batches.Load(),
+		WallNs:         c.wallNs.Load(),
+		IO:             c.io(),
+		PredEvals:      c.predEvals.Load(),
+		Invocations:    c.invocations.Load(),
 		CacheHits:      c.cacheHits.Load(),
 		CacheMisses:    c.cacheMisses.Load(),
 		FuncCharge:     c.charge(),

@@ -64,9 +64,9 @@ func newTopK(e *Env, t *plan.TopK) (Iterator, error) {
 
 // less is the output ordering: key first (flipped under Desc), then the tie
 // columns ascending regardless of direction — the same comparator the
-// facade sort uses, so TopK-on results are byte-identical to TopK-off even
-// when equal keys arrive in a parallel operator's nondeterministic order
-// (rows equal under this comparator are identical after projection).
+// facade sort uses, so TopK-on results are byte-identical to TopK-off
+// whatever order equal keys arrive in (rows equal under this comparator are
+// identical after projection).
 func (t *topkIter) less(a, b expr.Row) bool {
 	c := a[t.keyIdx].Compare(b[t.keyIdx])
 	if c != 0 {
@@ -238,9 +238,9 @@ func (t *topkIter) Close() error {
 }
 
 // limitIter implements plan.Limit: pass through k rows, then stop pulling.
-// For an ordered limit the child subtree was built serial (Env.buildSerial),
-// so the index scan's ascending key order survives to the root and the k
-// rows delivered are exactly the ORDER BY's first k.
+// For an ordered limit the child chain preserves the index scan's ascending
+// key order up to the root, so the k rows delivered are exactly the ORDER
+// BY's first k.
 type limitIter struct {
 	in   Iterator
 	k    int64
@@ -250,12 +250,7 @@ type limitIter struct {
 }
 
 func newLimit(e *Env, l *plan.Limit) (Iterator, error) {
-	restore := e.buildSerial
-	if l.Ordered {
-		e.buildSerial = true
-	}
 	in, err := Build(e, l.Input)
-	e.buildSerial = restore
 	if err != nil {
 		return nil, err
 	}

@@ -11,8 +11,8 @@ package exec
 // scans can consult the final filters and drop non-matching rows before
 // paying for the full-row decode.
 //
-// The prepass is always serial and deterministic regardless of
-// Env.Parallelism/BatchSize, and every filter build and probe is charged
+// The prepass is deterministic regardless of Env.BatchSize, and every
+// filter build and probe is charged
 // into the cost model (ChargeBloomAdd/ChargeBloomProbe) — transfer is never
 // free. A backward-pass rescan is skipped when none of the table's class
 // filters changed since its forward scan (version counters), so the pass
@@ -317,11 +317,10 @@ func (e *Env) runTransferPrepass(root plan.Node) error {
 	ts.prepassProbes = e.bloomProbes.Load() - probes0
 	// Leave the query's I/O ledger cold: the prepass scans warm the
 	// simulated LRU in a serial, schedule-dependent order, and the main
-	// plan's charged hit pattern against that leftover state would vary with
-	// executor mode (tuple vs batch, serial vs parallel partition
-	// interleaving). Evicting the simulation makes each main-scan page miss
-	// exactly once regardless of mode, keeping the charged cost
-	// deterministic and parallelism/batching-invariant. The shared pool is
+	// plan's charged hit pattern would depend on that leftover state.
+	// Evicting the simulation makes each main-scan page miss exactly once
+	// regardless of executor mode, keeping the charged cost deterministic
+	// and batching-invariant. The shared pool is
 	// left alone — other sessions' resident pages are not ours to evict, and
 	// physical residency no longer affects this query's measurement.
 	e.trk().EvictUnpinned()
@@ -527,8 +526,7 @@ func (ts *transferState) scanTable(e *Env, t *transferTable) error {
 
 // transferProbes returns the received-filter probe list for a base table —
 // nil when transfer is off, the prepass built nothing, or the table is
-// outside every class. Read-only after the prepass, so parallel scan
-// workers share it without locks.
+// outside every class. Read-only after the prepass.
 func (e *Env) transferProbes(table string) []tableProbe {
 	if e.transfer == nil {
 		return nil

@@ -1,8 +1,8 @@
 package harness
 
 // The fault sweep: every benchmark query runs under injected storage read
-// faults and under an aggressive deadline, across the executor's serial,
-// parallel, tuple-at-a-time, and batched configurations. The contract under
+// faults and under an aggressive deadline, in both executor modes:
+// tuple-at-a-time and batched. The contract under
 // test is the executor's failure discipline, not the paper's figures: each
 // run must end in exactly one of the acceptable outcomes — a clean result
 // identical to the fault-free baseline, an error wrapping the injected
@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"time"
 
@@ -24,18 +25,14 @@ import (
 )
 
 // faultConfigs are the executor configurations the sweep crosses faults
-// with: serial and parallel, tuple-at-a-time (BatchSize 1) and batched
-// (BatchSize 0 = tuned default). Parallelism 0 stands for the bench's
-// worker fan-out.
+// with: tuple-at-a-time (BatchSize 1) and batched (BatchSize 0 = tuned
+// default).
 var faultConfigs = []struct {
-	name        string
-	parallelism int
-	batchSize   int
+	name      string
+	batchSize int
 }{
-	{"serial/tuple", 1, 1},
-	{"serial/batch", 1, 0},
-	{"parallel/tuple", 0, 1},
-	{"parallel/batch", 0, 0},
+	{"tuple", 1},
+	{"batch", 0},
 }
 
 // FaultRun is one query execution under injected faults or a deadline.
@@ -55,10 +52,9 @@ type FaultRun struct {
 
 // FaultBench is the whole sweep's outcome.
 type FaultBench struct {
-	Scale   float64    `json:"scale"`
-	Workers int        `json:"workers"`
-	Seeds   int        `json:"seeds"`
-	Runs    []FaultRun `json:"runs"`
+	Scale float64    `json:"scale"`
+	Seeds int        `json:"seeds"`
+	Runs  []FaultRun `json:"runs"`
 	// Pass is true when every run ended in an acceptable outcome with no
 	// leaked frames or goroutines.
 	Pass bool `json:"pass"`
@@ -74,12 +70,9 @@ const faultTimeout = 2 * time.Millisecond
 // deadline. For each query it first measures the fault-free read count and
 // result set (the baseline), then for each seed derives a read index to
 // fail and runs the query under every executor configuration, and finally
-// runs one timeout leg per configuration. workers is the parallel fan-out;
-// seeds is the number of per-query fault sites tried.
-func (h *Harness) RunFaultBench(workers, seeds int) (*FaultBench, error) {
-	if workers < 2 {
-		workers = 2
-	}
+// runs one timeout leg per configuration. seeds is the number of per-query
+// fault sites tried.
+func (h *Harness) RunFaultBench(seeds int) (*FaultBench, error) {
 	if seeds < 1 {
 		seeds = 1
 	}
@@ -87,15 +80,13 @@ func (h *Harness) RunFaultBench(workers, seeds int) (*FaultBench, error) {
 	h.DB.SetBudget(0)
 	defer h.DB.SetFaults(nil)
 	defer h.DB.SetTimeout(0)
-	defer h.DB.SetParallelism(1)
 	defer h.DB.SetBatchSize(0)
 
-	bench := &FaultBench{Scale: h.Scale, Workers: workers, Seeds: seeds, Pass: true}
+	bench := &FaultBench{Scale: h.Scale, Seeds: seeds, Pass: true}
 	for _, q := range benchQueries {
 		// Fault-free baseline: a zero FaultConfig injects nothing but counts
 		// I/Os, sizing the fault sites against the query's real read count.
 		h.DB.SetTimeout(0)
-		h.DB.SetParallelism(1)
 		h.DB.SetBatchSize(0)
 		// Faults fire on physical reads only; start cold so every page read
 		// of the query is observable (and the fault site space is the full
@@ -120,8 +111,7 @@ func (h *Harness) RunFaultBench(workers, seeds int) (*FaultBench, error) {
 			// a failing sweep is reproducible from its report alone.
 			failN := 1 + rand.New(rand.NewSource(seed*7919)).Int63n(reads)
 			for _, cfg := range faultConfigs {
-				run := h.faultRun(q.name, q.sql, cfg.name, seed, failN,
-					resolveWorkers(cfg.parallelism, workers), cfg.batchSize, baseRows)
+				run := h.faultRun(q.name, q.sql, cfg.name, seed, failN, cfg.batchSize, baseRows)
 				if !run.OK {
 					bench.Pass = false
 				}
@@ -129,8 +119,7 @@ func (h *Harness) RunFaultBench(workers, seeds int) (*FaultBench, error) {
 			}
 		}
 		for _, cfg := range faultConfigs {
-			run := h.timeoutRun(q.name, q.sql, cfg.name,
-				resolveWorkers(cfg.parallelism, workers), cfg.batchSize, baseRows)
+			run := h.timeoutRun(q.name, q.sql, cfg.name, cfg.batchSize, baseRows)
 			if !run.OK {
 				bench.Pass = false
 			}
@@ -140,21 +129,12 @@ func (h *Harness) RunFaultBench(workers, seeds int) (*FaultBench, error) {
 	return bench, nil
 }
 
-// resolveWorkers maps a faultConfigs parallelism entry to a fan-out.
-func resolveWorkers(p, workers int) int {
-	if p == 0 {
-		return workers
-	}
-	return p
-}
-
 // faultRun executes one query under an injected read fault and classifies
 // the outcome against the failure contract.
 func (h *Harness) faultRun(name, sql, cfg string, seed, failN int64,
-	workers, batchSize int, baseRows []string) FaultRun {
+	batchSize int, baseRows []string) FaultRun {
 	run := FaultRun{Query: name, Config: cfg, Seed: seed, FailReadN: failN}
 	h.DB.SetTimeout(0)
-	h.DB.SetParallelism(workers)
 	h.DB.SetBatchSize(batchSize)
 	// Cold start before arming the injector: eviction's own write-backs must
 	// not consume fault sites, and the run's physical read sequence must
@@ -179,10 +159,8 @@ func (h *Harness) faultRun(name, sql, cfg string, seed, failN int64,
 
 // timeoutRun executes one query under an aggressive deadline; a clean
 // finish and a deadline error are both acceptable, anything else is not.
-func (h *Harness) timeoutRun(name, sql, cfg string, workers, batchSize int,
-	baseRows []string) FaultRun {
+func (h *Harness) timeoutRun(name, sql, cfg string, batchSize int, baseRows []string) FaultRun {
 	run := FaultRun{Query: name, Config: cfg + "/timeout"}
-	h.DB.SetParallelism(workers)
 	h.DB.SetBatchSize(batchSize)
 	h.DB.SetTimeout(faultTimeout)
 	audit := StartLeakAudit()
@@ -191,7 +169,7 @@ func (h *Harness) timeoutRun(name, sql, cfg string, workers, batchSize int,
 	switch {
 	case err == nil && !res.DNF:
 		run.Outcome = "clean"
-		run.OK = equalStrings(canonicalRows(res), baseRows)
+		run.OK = slices.Equal(canonicalRows(res), baseRows)
 		if !run.OK {
 			run.Detail = "clean finish with wrong rows"
 		}
@@ -224,7 +202,7 @@ func classifyFaultOutcome(run *FaultRun, res *predplace.Result, err error, baseR
 		run.OK = true
 	case err == nil:
 		run.Outcome = "clean"
-		run.OK = equalStrings(canonicalRows(res), baseRows)
+		run.OK = slices.Equal(canonicalRows(res), baseRows)
 		if !run.OK {
 			run.Detail = "clean finish with rows differing from fault-free baseline"
 		}
@@ -248,8 +226,8 @@ func (b *FaultBench) JSON() ([]byte, error) {
 // String renders the sweep as an aligned table.
 func (b *FaultBench) String() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "fault/timeout sweep: scale=%.3g workers=%d seeds=%d (Migration, caching off)\n",
-		b.Scale, b.Workers, b.Seeds)
+	fmt.Fprintf(&sb, "fault/timeout sweep: scale=%.3g seeds=%d (Migration, caching off)\n",
+		b.Scale, b.Seeds)
 	fmt.Fprintf(&sb, "%-8s %-16s %5s %10s %-8s %7s\n",
 		"query", "config", "seed", "fail-read", "outcome", "verdict")
 	for _, r := range b.Runs {

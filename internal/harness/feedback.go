@@ -15,9 +15,13 @@ package harness
 // re-plan onto the cheaper strategy.
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"slices"
 	"strings"
+	"time"
 
 	"predplace"
 	"predplace/internal/cost"
@@ -41,6 +45,10 @@ const (
 	fbJoinSeed = 424242321
 	// fbRobustE is the Robust error-interval half-width the bench plans with.
 	fbRobustE = 4.0
+	// fbTimeout is every run's wall-clock deadline, so the bench ends with a
+	// verdict at any scale: a run that exceeds it fails the bench with an
+	// error naming the algorithm and the injected error factor.
+	fbTimeout = 60 * time.Second
 )
 
 // FeedbackQuery hinges on fbsel(t3.ua1)'s declared selectivity s: the a10
@@ -132,17 +140,22 @@ func (h *Harness) registerFbjoin() error {
 }
 
 // fbRun evicts the pool and runs FeedbackQuery under one algorithm, returning
-// the result (cold-cache charged cost is then comparable across cells).
-func (h *Harness) fbRun(algo predplace.Algorithm) (*predplace.Result, error) {
+// the result (cold-cache charged cost is then comparable across cells). e is
+// the injected estimate error, named in the error of a run that does not
+// finish within fbTimeout.
+func (h *Harness) fbRun(algo predplace.Algorithm, e float64) (*predplace.Result, error) {
 	if err := h.DB.EvictPool(); err != nil {
 		return nil, err
 	}
 	res, err := h.DB.Query(FeedbackQuery, algo)
+	if errors.Is(err, context.DeadlineExceeded) {
+		return nil, fmt.Errorf("%v at e=%g did not finish within %v: %w", algo, e, fbTimeout, err)
+	}
 	if err != nil {
-		return nil, fmt.Errorf("%v declared-sel run: %w", algo, err)
+		return nil, fmt.Errorf("%v at e=%g: %w", algo, e, err)
 	}
 	if res.DNF {
-		return nil, fmt.Errorf("%v run hit the cost budget", algo)
+		return nil, fmt.Errorf("%v at e=%g hit the cost budget", algo, e)
 	}
 	return res, nil
 }
@@ -155,13 +168,14 @@ func (h *Harness) RunFeedbackBench() (*FeedbackBench, error) {
 	h.DB.SetBudget(0)
 	h.DB.SetTransfer(false)
 	h.DB.SetTopK(false)
-	h.DB.SetParallelism(1)
 	h.DB.SetBatchSize(0)
 	h.DB.SetRobustE(fbRobustE)
+	h.DB.SetTimeout(fbTimeout)
 	defer func() {
 		h.DB.SetFeedback(false)
 		h.DB.SetFeedbackThreshold(0)
 		h.DB.SetRobustE(0)
+		h.DB.SetTimeout(0)
 	}()
 
 	bench := &FeedbackBench{
@@ -177,7 +191,7 @@ func (h *Harness) RunFeedbackBench() (*FeedbackBench, error) {
 	if err := h.registerFbsel(fbTrueSel); err != nil {
 		return nil, err
 	}
-	base, err := h.fbRun(predplace.Migration)
+	base, err := h.fbRun(predplace.Migration, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -192,9 +206,9 @@ func (h *Harness) RunFeedbackBench() (*FeedbackBench, error) {
 				if err := h.registerFbsel(declared); err != nil {
 					return nil, err
 				}
-				res, err := h.fbRun(algo)
+				res, err := h.fbRun(algo, e)
 				if err != nil {
-					return nil, fmt.Errorf("e=%g: %w", e, err)
+					return nil, err
 				}
 				charged := res.Stats.Charged()
 				if declared < fbTrueSel || e == 1 {
@@ -206,7 +220,7 @@ func (h *Harness) RunFeedbackBench() (*FeedbackBench, error) {
 				if charged > cell.WorstCharged {
 					cell.WorstCharged = charged
 				}
-				if !equalStrings(transferCanonRows(res), baseline) {
+				if !slices.Equal(transferCanonRows(res), baseline) {
 					cell.RowsEqual = false
 					bench.Pass = false
 				}
@@ -236,17 +250,18 @@ func (h *Harness) RunFeedbackBench() (*FeedbackBench, error) {
 	// selectivity; the ≈4× error exceeds the default threshold, so promotion
 	// refreshes fbsel's metadata and bumps the catalog version, and the
 	// second run re-plans against the corrected statistics.
-	loopDeclared := fbTrueSel / 4
+	const loopE = 4
+	loopDeclared := fbTrueSel / loopE
 	if err := h.registerFbsel(loopDeclared); err != nil {
 		return nil, err
 	}
 	h.DB.SetFeedback(true)
 	h.DB.SetFeedbackThreshold(0)
-	first, err := h.fbRun(predplace.Migration)
+	first, err := h.fbRun(predplace.Migration, loopE)
 	if err != nil {
 		return nil, fmt.Errorf("feedback loop first run: %w", err)
 	}
-	second, err := h.fbRun(predplace.Migration)
+	second, err := h.fbRun(predplace.Migration, loopE)
 	if err != nil {
 		return nil, fmt.Errorf("feedback loop second run: %w", err)
 	}
@@ -259,8 +274,8 @@ func (h *Harness) RunFeedbackBench() (*FeedbackBench, error) {
 		PlanChanged:   first.Plan != second.Plan,
 		Refreshes:     stats.Refreshes,
 		Observations:  stats.Observations,
-		RowsEqual: equalStrings(transferCanonRows(first), baseline) &&
-			equalStrings(transferCanonRows(second), baseline),
+		RowsEqual: slices.Equal(transferCanonRows(first), baseline) &&
+			slices.Equal(transferCanonRows(second), baseline),
 	}
 	loop.Improved = loop.SecondCharged < loop.FirstCharged ||
 		cost.ApproxEq(loop.SecondCharged, loop.FirstCharged)

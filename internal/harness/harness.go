@@ -7,11 +7,34 @@ package harness
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"predplace"
 	"predplace/internal/expr"
 )
+
+// exactRows renders a result set order-sensitively, one "|"-joined string
+// per row.
+func exactRows(res *predplace.Result) []string {
+	out := make([]string, 0, len(res.Rows))
+	for _, row := range res.Rows {
+		cells := make([]string, len(row))
+		for i, v := range row {
+			cells[i] = v.String()
+		}
+		out = append(out, strings.Join(cells, "|"))
+	}
+	return out
+}
+
+// canonicalRows renders a result set order-insensitively, for comparing
+// runs whose plans may deliver rows in different orders.
+func canonicalRows(res *predplace.Result) []string {
+	out := exactRows(res)
+	sort.Strings(out)
+	return out
+}
 
 // Harness owns a generated benchmark database and runs experiments on it.
 type Harness struct {

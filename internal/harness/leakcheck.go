@@ -2,7 +2,7 @@ package harness
 
 // Leak auditing: the executor's teardown contract is that after any query —
 // success, budget abort (DNF), cancellation, or injected storage fault — no
-// buffer-pool frame stays pinned and no worker goroutine stays alive. The
+// buffer-pool frame stays pinned and no goroutine it started stays alive. The
 // audit is stdlib-only: pinned frames come from the pool's own bookkeeping
 // (DB.PinnedFrames) and goroutines from runtime.NumGoroutine against a
 // baseline taken before the query.
@@ -16,8 +16,8 @@ import (
 )
 
 // leakPollBudget bounds how long Verify waits for asynchronous teardown:
-// parallel workers exit after the consumer's Close returns, so the audit
-// polls instead of asserting an instantaneous snapshot.
+// goroutines may exit shortly after the query returns, so the audit polls
+// instead of asserting an instantaneous snapshot.
 const leakPollBudget = 2 * time.Second
 
 // LeakAudit captures the goroutine baseline ahead of one or more queries.
@@ -32,9 +32,8 @@ func StartLeakAudit() *LeakAudit {
 }
 
 // Verify asserts the teardown contract against db: zero pinned buffer-pool
-// frames and a goroutine count back at (or below) the baseline. Worker
-// goroutines unwind asynchronously after iterator Close, so the check polls
-// briefly before declaring a leak.
+// frames and a goroutine count back at (or below) the baseline. The check
+// polls briefly before declaring a leak.
 func (a *LeakAudit) Verify(db *predplace.DB) error {
 	deadline := time.Now().Add(leakPollBudget)
 	for {

@@ -12,6 +12,7 @@ package harness
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 
 	"predplace"
@@ -102,7 +103,7 @@ func flattenProfile(p *predplace.OpProfile, depth int, out []ProfileOpRecord) []
 }
 
 // RunProfileBench runs the six-query workload under Predicate Migration,
-// serially, each query once unprofiled and once profiled, asserting the
+// each query once unprofiled and once profiled, asserting the
 // profiled run is observationally identical (same rows, same charged cost)
 // and that every operator has a measured actual row count. Timings are
 // best-of-iters.
@@ -110,7 +111,6 @@ func (h *Harness) RunProfileBench(iters int) (*ProfileBench, error) {
 	if iters < 1 {
 		iters = 1
 	}
-	h.DB.SetParallelism(1)
 	h.DB.SetBudget(0)
 	defer h.DB.SetProfile(false)
 	defer h.DB.SetCaching(false)
@@ -141,7 +141,7 @@ func (h *Harness) RunProfileBench(iters int) (*ProfileBench, error) {
 			ProfMs:       profMs,
 			Charged:      plain.Stats.Charged(),
 			Rows:         plain.Stats.Rows,
-			RowsEqual:    equalStrings(canonicalRows(plain), canonicalRows(prof)),
+			RowsEqual:    slices.Equal(canonicalRows(plain), canonicalRows(prof)),
 			ChargedEqual: plain.Stats.Charged() == prof.Stats.Charged(),
 			Operators:    flattenProfile(prof.Profile, 0, nil),
 		}
@@ -162,7 +162,7 @@ func (b *ProfileBench) JSON() ([]byte, error) {
 // String renders the benchmark: one header per query, one line per operator.
 func (b *ProfileBench) String() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "profiling bench: scale=%.3g iters=%d (Migration, serial)\n", b.Scale, b.Iters)
+	fmt.Fprintf(&sb, "profiling bench: scale=%.3g iters=%d (Migration)\n", b.Scale, b.Iters)
 	for _, q := range b.Queries {
 		verdict := "OK"
 		if !q.RowsEqual {

@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -81,9 +82,8 @@ type serverBaseline struct {
 
 // RunServerBench runs the query mix from each session count in sessions
 // (iters queries per session), then the shedding and quota legs. The DB
-// runs with caching off, serial intra-query execution, and no per-query
-// budget, so every query's charged cost has a single correct value for the
-// divergence gate to check.
+// runs with caching off and no per-query budget, so every query's charged
+// cost has a single correct value for the divergence gate to check.
 func (h *Harness) RunServerBench(sessions []int, iters int) (*ServerBench, error) {
 	if len(sessions) == 0 {
 		sessions = []int{1, 2, 4, 8}
@@ -93,7 +93,6 @@ func (h *Harness) RunServerBench(sessions []int, iters int) (*ServerBench, error
 	}
 	h.DB.SetCaching(false)
 	h.DB.SetBudget(0)
-	h.DB.SetParallelism(1)
 	h.DB.SetBatchSize(0)
 
 	// Single-session baselines.
@@ -179,7 +178,7 @@ func (h *Harness) serverLeg(n, iters int, base []serverBaseline) (*ServerSession
 				} else {
 					latencies = append(latencies, lat)
 					if res.Stats.Charged() != base[qi].charged ||
-						!equalStrings(canonicalRows(res), base[qi].rows) {
+						!slices.Equal(canonicalRows(res), base[qi].rows) {
 						diverged++
 					}
 				}
@@ -284,7 +283,7 @@ func (b *ServerBench) JSON() ([]byte, error) {
 // String renders the benchmark as an aligned table.
 func (b *ServerBench) String() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "multi-session server bench: scale=%.3g iters=%d (Migration, caching off, serial intra-query)\n",
+	fmt.Fprintf(&sb, "multi-session server bench: scale=%.3g iters=%d (Migration, caching off)\n",
 		b.Scale, b.Iters)
 	fmt.Fprintf(&sb, "%-9s %8s %9s %9s %9s %9s %10s %9s\n",
 		"sessions", "queries", "wall-ms", "qps", "p50-ms", "p99-ms", "plan-hit", "diverged")

@@ -2,8 +2,8 @@ package harness
 
 // The top-k benchmark: ORDER BY … LIMIT k queries run with top-k execution
 // off (facade sort over the full result) and on (bounded-heap TopK or
-// early-terminating index-order Limit), tuple-at-a-time and batched, serial
-// and workers-way parallel, over a k sweep. Top-k execution must never
+// early-terminating index-order Limit), tuple-at-a-time and batched, over a
+// k sweep. Top-k execution must never
 // change the answer — every cell's on-rows must equal its off-rows in
 // delivered order — and the flagship ordered-index query must cut the
 // charged cost at least 2×: the point of the exercise is that the limit
@@ -12,9 +12,8 @@ package harness
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
-
-	"predplace"
 )
 
 // topkQueries are the benchmark shapes. The flagship orders by the unique
@@ -35,12 +34,11 @@ var topkQueries = []struct {
 // topkKs is the LIMIT sweep.
 var topkKs = []int{1, 10, 100, 1000}
 
-// TopKCell compares one (executor mode, parallelism) configuration's
-// top-k-off and top-k-on runs of a query at one k.
+// TopKCell compares one executor mode's top-k-off and top-k-on runs of a
+// query at one k.
 type TopKCell struct {
 	// Mode is "tuple" (BatchSize 1) or "batch" (default batch width).
-	Mode    string `json:"mode"`
-	Workers int    `json:"workers"`
+	Mode string `json:"mode"`
 	// OffMs and OnMs are best-of-iters wall times; Speedup is their ratio.
 	OffMs   float64 `json:"off_ms"`
 	OnMs    float64 `json:"on_ms"`
@@ -66,11 +64,10 @@ type TopKQueryResult struct {
 // TopKBench is the full top-k-off-vs-on comparison.
 type TopKBench struct {
 	Scale   float64           `json:"scale"`
-	Workers int               `json:"workers"`
 	Iters   int               `json:"iters"`
 	Queries []TopKQueryResult `json:"queries"`
 	// BestCostRatio is the largest off/on charged-cost ratio in any cell;
-	// FlagshipRatio is the serial tuple-mode ratio of the ordered-index
+	// FlagshipRatio is the tuple-mode ratio of the ordered-index
 	// query at k=10 (the acceptance headline).
 	BestCostRatio float64 `json:"best_cost_ratio"`
 	FlagshipRatio float64 `json:"flagship_ratio"`
@@ -79,40 +76,23 @@ type TopKBench struct {
 	Pass bool `json:"pass"`
 }
 
-// topkOrderedRows renders a result set order-sensitively: both modes sort by
-// the ORDER BY key with the full projected row as tie-break, so delivered
-// order is deterministic and must match exactly.
-func topkOrderedRows(res *predplace.Result) []string {
-	out := make([]string, 0, len(res.Rows))
-	for _, row := range res.Rows {
-		cells := make([]string, len(row))
-		for i, v := range row {
-			cells[i] = v.String()
-		}
-		out = append(out, strings.Join(cells, "|"))
-	}
-	return out
-}
-
 // RunTopKBench runs the ORDER BY/LIMIT queries with top-k execution off and
-// on across tuple/batch × serial/parallel configurations and k ∈ {1, 10,
-// 100, 1000} (Migration plans, caching off), comparing delivered rows, wall
-// time, and charged cost.
-func (h *Harness) RunTopKBench(workers, iters int) (*TopKBench, error) {
+// on, tuple-at-a-time and batched, at k ∈ {1, 10, 100, 1000} (Migration
+// plans, caching off), comparing delivered rows, wall time, and charged
+// cost. Both top-k modes sort by the ORDER BY key with the full projected
+// row as tie-break, so delivered order is deterministic and must match
+// exactly.
+func (h *Harness) RunTopKBench(iters int) (*TopKBench, error) {
 	if iters < 1 {
 		iters = 1
-	}
-	if workers < 2 {
-		workers = 2
 	}
 	h.DB.SetCaching(false)
 	h.DB.SetBudget(0)
 	defer func() {
 		h.DB.SetTopK(false)
 		h.DB.SetBatchSize(0)
-		h.DB.SetParallelism(1)
 	}()
-	bench := &TopKBench{Scale: h.Scale, Workers: workers, Iters: iters, Pass: true}
+	bench := &TopKBench{Scale: h.Scale, Iters: iters, Pass: true}
 	modes := []struct {
 		name  string
 		batch int
@@ -125,46 +105,43 @@ func (h *Harness) RunTopKBench(workers, iters int) (*TopKBench, error) {
 			sql := fmt.Sprintf(q.sql, k)
 			qr := TopKQueryResult{Query: q.name, K: k}
 			for _, m := range modes {
-				for _, w := range []int{1, workers} {
-					h.DB.SetBatchSize(m.batch)
-					h.DB.SetParallelism(w)
-					h.DB.SetTopK(false)
-					off, offMs, _, err := h.measure(sql, iters)
-					if err != nil {
-						return nil, fmt.Errorf("%s k=%d %s P=%d topk off: %w", q.name, k, m.name, w, err)
-					}
-					h.DB.SetTopK(true)
-					on, onMs, _, err := h.measure(sql, iters)
-					if err != nil {
-						return nil, fmt.Errorf("%s k=%d %s P=%d topk on: %w", q.name, k, m.name, w, err)
-					}
-					cell := TopKCell{
-						Mode: m.name, Workers: w,
-						OffMs: offMs, OnMs: onMs,
-						OffCharged: off.Stats.Charged(), OnCharged: on.Stats.Charged(),
-						RowsEqual: equalStrings(topkOrderedRows(off), topkOrderedRows(on)),
-					}
-					if onMs > 0 {
-						cell.Speedup = offMs / onMs
-					}
-					if cell.OnCharged > 0 {
-						cell.CostRatio = cell.OffCharged / cell.OnCharged
-					}
-					if !cell.RowsEqual {
-						bench.Pass = false
-					}
-					if q.flagship && k == 10 && cell.CostRatio < 2 {
-						bench.Pass = false
-					}
-					if q.flagship && k == 10 && m.name == "tuple" && w == 1 {
-						bench.FlagshipRatio = cell.CostRatio
-					}
-					if cell.CostRatio > bench.BestCostRatio {
-						bench.BestCostRatio = cell.CostRatio
-					}
-					qr.Rows = len(off.Rows)
-					qr.Cells = append(qr.Cells, cell)
+				h.DB.SetBatchSize(m.batch)
+				h.DB.SetTopK(false)
+				off, offMs, _, err := h.measure(sql, iters)
+				if err != nil {
+					return nil, fmt.Errorf("%s k=%d %s topk off: %w", q.name, k, m.name, err)
 				}
+				h.DB.SetTopK(true)
+				on, onMs, _, err := h.measure(sql, iters)
+				if err != nil {
+					return nil, fmt.Errorf("%s k=%d %s topk on: %w", q.name, k, m.name, err)
+				}
+				cell := TopKCell{
+					Mode:  m.name,
+					OffMs: offMs, OnMs: onMs,
+					OffCharged: off.Stats.Charged(), OnCharged: on.Stats.Charged(),
+					RowsEqual: slices.Equal(exactRows(off), exactRows(on)),
+				}
+				if onMs > 0 {
+					cell.Speedup = offMs / onMs
+				}
+				if cell.OnCharged > 0 {
+					cell.CostRatio = cell.OffCharged / cell.OnCharged
+				}
+				if !cell.RowsEqual {
+					bench.Pass = false
+				}
+				if q.flagship && k == 10 && cell.CostRatio < 2 {
+					bench.Pass = false
+				}
+				if q.flagship && k == 10 && m.name == "tuple" {
+					bench.FlagshipRatio = cell.CostRatio
+				}
+				if cell.CostRatio > bench.BestCostRatio {
+					bench.BestCostRatio = cell.CostRatio
+				}
+				qr.Rows = len(off.Rows)
+				qr.Cells = append(qr.Cells, cell)
 			}
 			bench.Queries = append(bench.Queries, qr)
 		}
@@ -180,18 +157,18 @@ func (b *TopKBench) JSON() ([]byte, error) {
 // String renders the benchmark as an aligned table.
 func (b *TopKBench) String() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "top-k bench: scale=%.3g workers=%d iters=%d (Migration, caching off)\n",
-		b.Scale, b.Workers, b.Iters)
-	fmt.Fprintf(&sb, "%-8s %5s %-6s %3s %9s %9s %8s %11s %11s %7s %7s\n",
-		"query", "k", "mode", "P", "off-ms", "on-ms", "speedup", "off-cost", "on-cost", "ratio", "verdict")
+	fmt.Fprintf(&sb, "top-k bench: scale=%.3g iters=%d (Migration, caching off)\n",
+		b.Scale, b.Iters)
+	fmt.Fprintf(&sb, "%-8s %5s %-6s %9s %9s %8s %11s %11s %7s %7s\n",
+		"query", "k", "mode", "off-ms", "on-ms", "speedup", "off-cost", "on-cost", "ratio", "verdict")
 	for _, q := range b.Queries {
 		for _, c := range q.Cells {
 			verdict := "OK"
 			if !c.RowsEqual {
 				verdict = "ROWS!"
 			}
-			fmt.Fprintf(&sb, "%-8s %5d %-6s %3d %9.2f %9.2f %7.2fx %11.0f %11.0f %6.1fx %7s\n",
-				q.Query, q.K, c.Mode, c.Workers, c.OffMs, c.OnMs, c.Speedup,
+			fmt.Fprintf(&sb, "%-8s %5d %-6s %9.2f %9.2f %7.2fx %11.0f %11.0f %6.1fx %7s\n",
+				q.Query, q.K, c.Mode, c.OffMs, c.OnMs, c.Speedup,
 				c.OffCharged, c.OnCharged, c.CostRatio, verdict)
 		}
 	}

@@ -2,10 +2,11 @@ package harness
 
 // The predicate-transfer benchmark: Queries 3–5 (the join queries whose
 // tables prune each other through join-key filters) run with transfer off
-// and on, tuple-at-a-time and batched, serial and workers-way parallel, on
-// the same database (Migration plans, caching off). Transfer must never
-// change the answer — every cell's on-rows must equal its off-rows — and
-// the report pairs wall time with charged cost, rows pruned, and the Bloom
+// and on, tuple-at-a-time and batched, on the same database (Migration
+// plans, caching off). Transfer must never change the answer — every cell's
+// on-rows must equal its off-rows — and batching must never change the
+// charged cost — the batch cell must charge exactly what the tuple cell
+// charges, with transfer off and on. The report pairs wall time with charged cost, rows pruned, and the Bloom
 // filters' estimated (and, from one profiled run, actual) false-positive
 // rate, so a wall-clock win that the honest cost accounting does not
 // support is visible as such.
@@ -13,6 +14,7 @@ package harness
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -32,8 +34,7 @@ var transferQueries = []struct {
 
 // transferCanonRows canonicalizes a result set independent of both row and
 // column order: transfer-adjusted cardinalities may legitimately change the
-// join order (and with it the output column order), and parallel runs do
-// not preserve row order.
+// join order (and with it the output column order, and the row order).
 func transferCanonRows(res *predplace.Result) []string {
 	out := make([]string, 0, len(res.Rows))
 	for _, row := range res.Rows {
@@ -48,12 +49,11 @@ func transferCanonRows(res *predplace.Result) []string {
 	return out
 }
 
-// TransferCell compares one (executor mode, parallelism) configuration's
-// transfer-off and transfer-on runs of a query.
+// TransferCell compares one executor mode's transfer-off and transfer-on
+// runs of a query.
 type TransferCell struct {
 	// Mode is "tuple" (BatchSize 1) or "batch" (default batch width).
-	Mode    string `json:"mode"`
-	Workers int    `json:"workers"`
+	Mode string `json:"mode"`
 	// OffMs and OnMs are best-of-iters wall times; Speedup is their ratio.
 	OffMs   float64 `json:"off_ms"`
 	OnMs    float64 `json:"on_ms"`
@@ -66,6 +66,8 @@ type TransferCell struct {
 	RowsPruned int64 `json:"rows_pruned"`
 	// RowsEqual: the on-run's result multiset equals the off-run's.
 	RowsEqual bool `json:"rows_equal"`
+	// ChargedEqual: OffCharged and OnCharged equal the query's tuple cell's.
+	ChargedEqual bool `json:"charged_equal"`
 }
 
 // TransferQueryResult aggregates one query's cells plus its filter quality
@@ -84,33 +86,29 @@ type TransferQueryResult struct {
 // TransferBench is the full transfer-off-vs-on comparison over Queries 3–5.
 type TransferBench struct {
 	Scale   float64               `json:"scale"`
-	Workers int                   `json:"workers"`
 	Iters   int                   `json:"iters"`
 	Queries []TransferQueryResult `json:"queries"`
 	// BestSpeedup is the largest off/on wall-time ratio in any cell.
 	BestSpeedup float64 `json:"best_speedup"`
-	// Pass is true when every cell's transfer-on rows matched transfer-off.
+	// Pass is true when every cell's transfer-on rows matched transfer-off
+	// and every cell charged what its query's tuple cell charged.
 	Pass bool `json:"pass"`
 }
 
-// RunTransferBench runs Queries 3–5 with predicate transfer off and on
-// across tuple/batch × serial/parallel configurations (Migration plans,
-// caching off), comparing result sets, wall time, and charged cost.
-func (h *Harness) RunTransferBench(workers, iters int) (*TransferBench, error) {
+// RunTransferBench runs Queries 3–5 with predicate transfer off and on,
+// tuple-at-a-time and batched (Migration plans, caching off), comparing
+// result sets, wall time, and charged cost.
+func (h *Harness) RunTransferBench(iters int) (*TransferBench, error) {
 	if iters < 1 {
 		iters = 1
-	}
-	if workers < 2 {
-		workers = 2
 	}
 	h.DB.SetCaching(false)
 	h.DB.SetBudget(0)
 	defer func() {
 		h.DB.SetTransfer(false)
 		h.DB.SetBatchSize(0)
-		h.DB.SetParallelism(1)
 	}()
-	bench := &TransferBench{Scale: h.Scale, Workers: workers, Iters: iters, Pass: true}
+	bench := &TransferBench{Scale: h.Scale, Iters: iters, Pass: true}
 	modes := []struct {
 		name  string
 		batch int
@@ -121,55 +119,53 @@ func (h *Harness) RunTransferBench(workers, iters int) (*TransferBench, error) {
 	for _, q := range transferQueries {
 		qr := TransferQueryResult{Query: q.name, FPEst: -1, FPActual: -1}
 		for _, m := range modes {
-			for _, w := range []int{1, workers} {
-				h.DB.SetBatchSize(m.batch)
-				h.DB.SetParallelism(w)
-				// Each measured run starts from a cold pool: the preceding
-				// transfer-on run may have executed a different join order,
-				// and its leftover pages would make this run's physical I/O
-				// (and charged cost) depend on cell sequencing.
-				h.DB.SetTransfer(false)
-				if err := h.DB.EvictPool(); err != nil {
-					return nil, err
-				}
-				off, offMs, _, err := h.measure(q.sql, iters)
-				if err != nil {
-					return nil, fmt.Errorf("%s %s P=%d transfer off: %w", q.name, m.name, w, err)
-				}
-				h.DB.SetTransfer(true)
-				if err := h.DB.EvictPool(); err != nil {
-					return nil, err
-				}
-				on, onMs, _, err := h.measure(q.sql, iters)
-				if err != nil {
-					return nil, fmt.Errorf("%s %s P=%d transfer on: %w", q.name, m.name, w, err)
-				}
-				cell := TransferCell{
-					Mode: m.name, Workers: w,
-					OffMs: offMs, OnMs: onMs,
-					OffCharged: off.Stats.Charged(), OnCharged: on.Stats.Charged(),
-					RowsEqual: equalStrings(transferCanonRows(off), transferCanonRows(on)),
-				}
-				if onMs > 0 {
-					cell.Speedup = offMs / onMs
-				}
-				if ts := on.Stats.Transfer; ts != nil {
-					cell.RowsPruned = ts.Pruned
-				}
-				if !cell.RowsEqual {
-					bench.Pass = false
-				}
-				if cell.Speedup > bench.BestSpeedup {
-					bench.BestSpeedup = cell.Speedup
-				}
-				qr.Rows = off.Stats.Rows
-				qr.Cells = append(qr.Cells, cell)
+			h.DB.SetBatchSize(m.batch)
+			// Each measured run starts from a cold pool: the preceding
+			// transfer-on run may have executed a different join order,
+			// and its leftover pages would make this run's physical I/O
+			// (and charged cost) depend on cell sequencing.
+			h.DB.SetTransfer(false)
+			if err := h.DB.EvictPool(); err != nil {
+				return nil, err
 			}
+			off, offMs, _, err := h.measure(q.sql, iters)
+			if err != nil {
+				return nil, fmt.Errorf("%s %s transfer off: %w", q.name, m.name, err)
+			}
+			h.DB.SetTransfer(true)
+			if err := h.DB.EvictPool(); err != nil {
+				return nil, err
+			}
+			on, onMs, _, err := h.measure(q.sql, iters)
+			if err != nil {
+				return nil, fmt.Errorf("%s %s transfer on: %w", q.name, m.name, err)
+			}
+			cell := TransferCell{
+				Mode:  m.name,
+				OffMs: offMs, OnMs: onMs,
+				OffCharged: off.Stats.Charged(), OnCharged: on.Stats.Charged(),
+				RowsEqual: slices.Equal(transferCanonRows(off), transferCanonRows(on)),
+			}
+			cell.ChargedEqual = len(qr.Cells) == 0 ||
+				cell.OffCharged == qr.Cells[0].OffCharged && cell.OnCharged == qr.Cells[0].OnCharged
+			if onMs > 0 {
+				cell.Speedup = offMs / onMs
+			}
+			if ts := on.Stats.Transfer; ts != nil {
+				cell.RowsPruned = ts.Pruned
+			}
+			if !cell.RowsEqual || !cell.ChargedEqual {
+				bench.Pass = false
+			}
+			if cell.Speedup > bench.BestSpeedup {
+				bench.BestSpeedup = cell.Speedup
+			}
+			qr.Rows = off.Stats.Rows
+			qr.Cells = append(qr.Cells, cell)
 		}
-		// One profiled serial run measures the filters' actual FP rate
+		// One profiled batched run measures the filters' actual FP rate
 		// (profiling tracks exact key sets; timing cells stay unprofiled).
 		h.DB.SetBatchSize(0)
-		h.DB.SetParallelism(1)
 		h.DB.SetTransfer(true)
 		h.DB.SetProfile(true)
 		prof, err := h.DB.Query(q.sql, predplace.Migration)
@@ -193,18 +189,21 @@ func (b *TransferBench) JSON() ([]byte, error) {
 // String renders the benchmark as an aligned table.
 func (b *TransferBench) String() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "predicate transfer bench: scale=%.3g workers=%d iters=%d (Migration, caching off)\n",
-		b.Scale, b.Workers, b.Iters)
-	fmt.Fprintf(&sb, "%-8s %-6s %3s %9s %9s %8s %11s %11s %8s %7s\n",
-		"query", "mode", "P", "off-ms", "on-ms", "speedup", "off-cost", "on-cost", "pruned", "verdict")
+	fmt.Fprintf(&sb, "predicate transfer bench: scale=%.3g iters=%d (Migration, caching off)\n",
+		b.Scale, b.Iters)
+	fmt.Fprintf(&sb, "%-8s %-6s %9s %9s %8s %11s %11s %8s %7s\n",
+		"query", "mode", "off-ms", "on-ms", "speedup", "off-cost", "on-cost", "pruned", "verdict")
 	for _, q := range b.Queries {
 		for _, c := range q.Cells {
 			verdict := "OK"
-			if !c.RowsEqual {
+			switch {
+			case !c.RowsEqual:
 				verdict = "ROWS!"
+			case !c.ChargedEqual:
+				verdict = "COST!"
 			}
-			fmt.Fprintf(&sb, "%-8s %-6s %3d %9.1f %9.1f %7.2fx %11.0f %11.0f %8d %7s\n",
-				q.Query, c.Mode, c.Workers, c.OffMs, c.OnMs, c.Speedup,
+			fmt.Fprintf(&sb, "%-8s %-6s %9.1f %9.1f %7.2fx %11.0f %11.0f %8d %7s\n",
+				q.Query, c.Mode, c.OffMs, c.OnMs, c.Speedup,
 				c.OffCharged, c.OnCharged, c.RowsPruned, verdict)
 		}
 		if q.FPActual >= 0 {
@@ -213,10 +212,10 @@ func (b *TransferBench) String() string {
 		}
 	}
 	if b.Pass {
-		fmt.Fprintf(&sb, "PASS: transfer-on results identical to transfer-off everywhere (best speedup %.2fx)\n",
+		fmt.Fprintf(&sb, "PASS: transfer-on results identical to transfer-off, charged costs identical tuple vs batch (best speedup %.2fx)\n",
 			b.BestSpeedup)
 	} else {
-		sb.WriteString("FAIL: predicate transfer changed a result set\n")
+		sb.WriteString("FAIL: predicate transfer changed a result set, or batching changed a charged cost\n")
 	}
 	return sb.String()
 }

@@ -8,18 +8,19 @@ import (
 	"sort"
 )
 
-// AtomicConsistencyAnalyzer enforces the parallelism-invariant-cost contract
-// (DESIGN.md §12): counters shared across exchange workers are touched only
-// atomically. Two complementary checks:
+// AtomicConsistencyAnalyzer enforces the exact-cost contract under
+// concurrency: counters shared across goroutines (concurrent sessions over
+// one buffer pool, disk and predicate cache) are touched only atomically.
+// Two complementary checks:
 //
 //  1. Mixed access: a variable or struct field that is ever the target of a
 //     sync/atomic function call (atomic.AddInt64(&x.f, ...)) must never be
 //     read or written plainly anywhere else in the package — one plain access
-//     is a data race and silently corrupts charged costs under parallelism.
+//     is a data race and silently corrupts charged costs.
 //  2. Value copies: a value of a typed atomic (atomic.Int64, atomic.Uint64,
 //     atomic.Pointer[T], ...) must not be copied — assigned, passed, indexed
 //     out, or returned by value — because the copy severs it from the word
-//     the other workers update. Taking its address and calling its methods
+//     the other goroutines update. Taking its address and calling its methods
 //     are the only sound uses.
 //
 // The checks are whole-package and flow-insensitive: atomicity is a property

@@ -25,9 +25,9 @@ const (
 	ByFunction
 )
 
-// stripes is the number of lock shards per unbounded cache table. Parallel
-// workers evaluating the same predicate hash their bindings across shards,
-// so lookups and stores rarely contend on one mutex.
+// stripes is the number of lock shards per unbounded cache table. Bindings
+// hash across shards, so concurrent lookups and stores rarely contend on one
+// mutex.
 const stripes = 16
 
 // Manager holds one cache per predicate (or per function, depending on

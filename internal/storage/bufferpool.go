@@ -13,7 +13,7 @@ import (
 //
 // The pool is divided into independent shards selected by a hash of the
 // (file, page) key, each with its own lock, frame map, and LRU list, so
-// parallel workers fetching different pages rarely contend. A single-shard
+// concurrent sessions fetching different pages rarely contend. A single-shard
 // pool (the default, see NewBufferPool) behaves exactly like the classic
 // global-LRU pool. Concurrent misses on the same page are deduplicated:
 // one goroutine performs the physical read while the rest wait and share
@@ -63,7 +63,7 @@ func NewBufferPool(disk *Disk, capacity int) *BufferPool {
 
 // NewShardedBufferPool creates a pool of the given total capacity split
 // across the given number of hash-selected shards. More shards reduce lock
-// contention under parallel execution; shard capacities sum to capacity
+// contention between concurrent sessions; shard capacities sum to capacity
 // (each at least one page).
 func NewShardedBufferPool(disk *Disk, capacity, shards int) *BufferPool {
 	if capacity < 1 {

@@ -101,8 +101,8 @@ func TestShardedBufferPoolClampsShards(t *testing.T) {
 }
 
 // TestShardedBufferPoolConcurrentScan hammers a sharded pool from many
-// goroutines scanning disjoint page ranges (the parallel scan's access
-// pattern) under -race.
+// goroutines scanning disjoint page ranges (concurrent sessions scanning
+// different tables) under -race.
 func TestShardedBufferPoolConcurrentScan(t *testing.T) {
 	d := NewDisk(nil)
 	bp := NewShardedBufferPool(d, 8, 4)

@@ -5,7 +5,7 @@ package storage
 // page I/Os on demand — the Nth read or write of a run, or each I/O with a
 // seeded probability. Injection is deterministic in the sequence of I/O
 // calls: the same seed and the same call sequence produce the same faults,
-// so error-path tests are reproducible. Under parallel execution the call
+// so error-path tests are reproducible. Under concurrent sessions the call
 // *order* may vary between runs, but every decision is still drawn from the
 // same seeded stream, so sweeps assert outcomes ("wrapped error or clean
 // rows"), not specific fault sites.
@@ -40,7 +40,7 @@ type FaultConfig struct {
 }
 
 // FaultInjector implements FaultConfig over a mutex-guarded seeded stream.
-// Safe for concurrent use by parallel workers.
+// Safe for concurrent use.
 type FaultInjector struct {
 	mu       sync.Mutex
 	cfg      FaultConfig

@@ -140,8 +140,8 @@ func (h *HeapFile) Scan() *HeapIter {
 }
 
 // ScanRange returns an iterator over the live records of pages
-// [start, end) in file order — one partition of a range-partitioned
-// parallel scan. Bounds are clamped to the file's current extent.
+// [start, end) in file order. Bounds are clamped to the file's current
+// extent.
 func (h *HeapFile) ScanRange(start, end int) *HeapIter {
 	if n := h.NumPages(); end > n {
 		end = n

@@ -15,9 +15,9 @@ import "sync/atomic"
 // out-of-order heap fetches therefore count as random I/Os, matching the
 // cost model of the paper.
 //
-// All counters are lock-free atomics so parallel workers can record I/O
+// All counters are lock-free atomics so concurrent sessions can record I/O
 // without serializing on a mutex. Under concurrency the sequential/random
-// split is best-effort (two workers racing on `last` may classify a
+// split is best-effort (two goroutines racing on `last` may classify a
 // sequential read as random), but the total — the paper's charged unit —
 // is exact; single-threaded runs classify exactly as before.
 type Accountant struct {

@@ -24,10 +24,9 @@ import (
 // the same query charges running alone on a freshly flushed pool, no matter
 // what other sessions do to the shared pool in the meantime.
 //
-// One tracker serves one query. Within that query the engine's parallel
-// operators may drive it from many goroutines; shard mutexes and the atomic
-// Accountant make that safe, with the same best-effort sequential/random
-// split the real pool has under parallelism.
+// One tracker serves one query, driven by that query's single goroutine in
+// the deterministic order its operator tree touches pages, so the simulated
+// hit/miss pattern — and the charged cost — is the same on every run.
 type IOTracker struct {
 	acct   Accountant
 	shards []trackShard

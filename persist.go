@@ -117,10 +117,9 @@ func OpenFile(path string, cfg Config) (*DB, error) {
 	if pool == 0 {
 		pool = 1024
 	}
-	workers := resolveParallelism(cfg.Parallelism)
 	inner := &datagen.DB{
 		Disk: disk,
-		Pool: storage.NewShardedBufferPool(disk, pool, poolShards(workers)),
+		Pool: storage.NewBufferPool(disk, pool),
 		Cat:  catalog.New(),
 	}
 	if err := datagen.RegisterStandardFuncs(inner.Cat); err != nil {
@@ -163,8 +162,8 @@ func OpenFile(path string, cfg Config) (*DB, error) {
 		k: knobs{
 			caching: cfg.Caching, cacheScope: pcacheScope(cfg),
 			cacheMax: cfg.CacheMaxEntries, budget: cfg.Budget,
-			parallelism: workers, batchSize: cfg.BatchSize,
-			timeout: cfg.Timeout, profile: cfg.Profile,
+			batchSize: cfg.BatchSize,
+			timeout:   cfg.Timeout, profile: cfg.Profile,
 			transfer: cfg.Transfer, topk: cfg.TopK,
 		},
 		validate: os.Getenv("PPLINT_VALIDATE") == "1",

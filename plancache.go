@@ -19,7 +19,7 @@ const DefaultPlanCacheSize = 64
 // algorithm, the same settings of every knob the optimizer consults
 // (caching, transfer, top-k), and the same catalog version (schema,
 // statistics, and data as of planning). Execution-only knobs — budget,
-// parallelism, batch size, timeout, profiling — are deliberately absent:
+// batch size, timeout, profiling — are deliberately absent:
 // they never change the chosen plan, and keying on them would fragment the
 // cache.
 type planKey struct {

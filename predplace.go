@@ -21,7 +21,6 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -88,13 +87,6 @@ type Config struct {
 	// Budget aborts queries whose charged cost exceeds it (0 = unlimited) —
 	// used to reproduce the paper's did-not-finish result for Query 5.
 	Budget float64
-	// Parallelism sets the intra-query worker fan-out: heap scans are
-	// range-partitioned across workers, expensive filters evaluate on a
-	// worker pool, and hash joins build/probe partitioned tables in
-	// parallel. 0 or 1 keeps the classic serial executor (the default —
-	// every figure reproduction runs serially); < 0 uses GOMAXPROCS.
-	// Charged cost with caching off is identical at any setting.
-	Parallelism int
 	// BatchSize sets the rows-per-batch width of the executor's vectorized
 	// NextBatch fast path. 0 uses the tuned default (exec.DefaultBatchSize);
 	// 1 disables batching entirely, running the exact legacy tuple-at-a-time
@@ -114,7 +106,7 @@ type Config struct {
 	// time is never charged). Off by default; EXPLAIN ANALYZE profiles its
 	// one statement regardless of this setting.
 	Profile bool
-	// Transfer enables predicate transfer: before execution, a serial
+	// Transfer enables predicate transfer: before execution, a
 	// prepass scans the joined tables smallest-first, building a Bloom
 	// filter per join-key equivalence class from each table's survivors
 	// (cheap local predicates always applied; cacheable expensive ones when
@@ -180,7 +172,6 @@ type knobs struct {
 	cacheScope  pcache.Scope
 	cacheMax    int
 	budget      float64
-	parallelism int
 	batchSize   int
 	timeout     time.Duration
 	profile     bool
@@ -213,15 +204,13 @@ type DB struct {
 // Open creates a database. With Scale > 0 the paper's benchmark schema is
 // generated and the costlyN function family registered.
 func Open(cfg Config) (*DB, error) {
-	workers := resolveParallelism(cfg.Parallelism)
 	var inner *datagen.DB
 	var err error
 	if cfg.Scale > 0 {
 		inner, err = datagen.Build(datagen.Config{
-			Scale:      cfg.Scale,
-			Tables:     cfg.Tables,
-			PoolPages:  cfg.PoolPages,
-			PoolShards: poolShards(workers),
+			Scale:     cfg.Scale,
+			Tables:    cfg.Tables,
+			PoolPages: cfg.PoolPages,
 		})
 	} else {
 		pool := cfg.PoolPages
@@ -232,7 +221,7 @@ func Open(cfg Config) (*DB, error) {
 		disk := storage.NewDisk(acct)
 		inner = &datagen.DB{
 			Disk: disk,
-			Pool: storage.NewShardedBufferPool(disk, pool, poolShards(workers)),
+			Pool: storage.NewBufferPool(disk, pool),
 			Cat:  catalog.New(),
 		}
 		err = datagen.RegisterStandardFuncs(inner.Cat)
@@ -249,8 +238,8 @@ func Open(cfg Config) (*DB, error) {
 		k: knobs{
 			caching: cfg.Caching, cacheScope: pcacheScope(cfg),
 			cacheMax: cfg.CacheMaxEntries, budget: cfg.Budget,
-			parallelism: workers, batchSize: cfg.BatchSize,
-			timeout: cfg.Timeout, profile: cfg.Profile,
+			batchSize: cfg.BatchSize,
+			timeout:   cfg.Timeout, profile: cfg.Profile,
 			transfer: cfg.Transfer, topk: cfg.TopK,
 			feedback:    cfg.Feedback,
 			fbThreshold: resolveThreshold(cfg.FeedbackThreshold),
@@ -267,32 +256,6 @@ func (d *DB) snapshot() knobs {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.k
-}
-
-// resolveParallelism normalizes a Config.Parallelism value: negative means
-// "use every processor".
-func resolveParallelism(p int) int {
-	if p < 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	if p == 0 {
-		return 1
-	}
-	return p
-}
-
-// poolShards picks the buffer-pool stripe count for a worker fan-out: one
-// shard per worker, capped at 16, and exactly 1 for serial databases so the
-// classic single-LRU replacement behavior (and therefore every figure
-// reproduction) is untouched.
-func poolShards(workers int) int {
-	if workers <= 1 {
-		return 1
-	}
-	if workers > 16 {
-		return 16
-	}
-	return workers
 }
 
 // pcacheScope maps the config to a predicate-cache scope.
@@ -326,24 +289,6 @@ func (d *DB) SetCacheLimit(n int) {
 	d.mu.Lock()
 	d.k.cacheMax = n
 	d.mu.Unlock()
-}
-
-// SetParallelism changes the intra-query worker fan-out for subsequent
-// queries (1 = serial; < 0 = GOMAXPROCS). The buffer pool keeps the shard
-// layout it was opened with, so toggling parallelism on one handle compares
-// executors over identical storage.
-func (d *DB) SetParallelism(p int) {
-	w := resolveParallelism(p)
-	d.mu.Lock()
-	d.k.parallelism = w
-	d.mu.Unlock()
-}
-
-// Parallelism reports the current worker fan-out.
-func (d *DB) Parallelism() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.k.parallelism
 }
 
 // DefaultBatchSize is the batch width used when Config.BatchSize is 0.
@@ -706,10 +651,10 @@ func (d *DB) Query(sql string, algo Algorithm) (*Result, error) {
 }
 
 // QueryContext is Query with a context: cancellation or deadline expiry
-// aborts the running query promptly — serial, parallel, and batched
+// aborts the running query promptly — tuple-at-a-time and batched
 // executors alike observe the context on the executor's budget-check
 // cadence and unwind through the ordinary error path (iterators close,
-// pages unpin, workers exit). The returned error wraps the context cause,
+// pages unpin). The returned error wraps the context cause,
 // so errors.Is(err, context.Canceled) / context.DeadlineExceeded hold. A
 // configured Timeout applies on top of ctx.
 func (d *DB) QueryContext(ctx context.Context, sql string, algo Algorithm) (*Result, error) {
@@ -751,7 +696,7 @@ func (p *PreparedStatement) SQL() string { return p.sql }
 func (p *PreparedStatement) Plan() string { return plan.Render(p.root) }
 
 // Exec executes the prepared statement; execution knobs (budget,
-// parallelism, batching, timeout, profiling) are snapshotted per call.
+// batching, timeout, profiling) are snapshotted per call.
 func (p *PreparedStatement) Exec() (*Result, error) {
 	return p.ExecContext(context.Background())
 }
@@ -1001,10 +946,9 @@ func finishResult(bound *sqlparse.Bound, res *Result, topkPlanned bool) error {
 				return c < 0
 			}
 			// Deterministic tie-break: equal keys order by the full projected
-			// row, ascending regardless of Desc. Parallel operators do not
-			// preserve input order, and a bare stable sort would expose their
-			// arrival order in the result — equal-key rows must compare the
-			// same way on every run, in every executor mode.
+			// row, ascending regardless of Desc. The TopK operator uses the
+			// same comparator, so equal-key rows order the same way whether
+			// the facade or the executor sorts them.
 			for i := range ra {
 				if c := ra[i].Compare(rb[i]); c != 0 {
 					return c < 0
@@ -1055,15 +999,14 @@ func execCtx(ctx context.Context, timeout time.Duration) (context.Context, conte
 // entirely from the knob snapshot k.
 func (d *DB) newEnv(ctx context.Context, k knobs) *exec.Env {
 	return &exec.Env{
-		Ctx:         ctx,
-		Cat:         d.inner.Cat,
-		Pool:        d.inner.Pool,
-		Cache:       pcache.NewManagerScoped(k.caching, k.cacheMax, k.cacheScope),
-		Budget:      k.budget,
-		Parallelism: k.parallelism,
-		BatchSize:   k.batchSize,
-		Validate:    d.validate,
-		Transfer:    k.transfer,
+		Ctx:       ctx,
+		Cat:       d.inner.Cat,
+		Pool:      d.inner.Pool,
+		Cache:     pcache.NewManagerScoped(k.caching, k.cacheMax, k.cacheScope),
+		Budget:    k.budget,
+		BatchSize: k.batchSize,
+		Validate:  d.validate,
+		Transfer:  k.transfer,
 	}
 }
 

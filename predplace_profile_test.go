@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// canonRows renders a result order-insensitively (parallel runs reorder).
+// canonRows renders a result order-insensitively (plans may reorder rows).
 func canonRows(res *Result) []string {
 	out := make([]string, 0, len(res.Rows))
 	for _, row := range res.Rows {
@@ -29,10 +29,10 @@ var profileMatrixQueries = []string{
 	"SELECT * FROM t3, t10 WHERE t3.a10 = t10.a10 AND t10.a100 > 50 AND costly100(t3.ua1)",
 }
 
-// TestProfileMatrixInvariance runs each query across Parallelism {1,4} ×
-// BatchSize {1,256} × Profile {off,on} and requires every combination to
-// return the same result multiset, charge byte-identical cost, and invoke
-// each function the same number of times as the serial unprofiled baseline.
+// TestProfileMatrixInvariance runs each query across BatchSize {1,256} ×
+// Profile {off,on} and requires every combination to return the same result
+// multiset, charge byte-identical cost, and invoke each function the same
+// number of times as the tuple-at-a-time unprofiled baseline.
 func TestProfileMatrixInvariance(t *testing.T) {
 	db := openBench(t, 3, 9, 10)
 	for _, sql := range profileMatrixQueries {
@@ -40,44 +40,40 @@ func TestProfileMatrixInvariance(t *testing.T) {
 		var baseCharged float64
 		var baseInv map[string]int64
 		first := true
-		for _, par := range []int{1, 4} {
-			for _, bs := range []int{1, 256} {
-				for _, prof := range []bool{false, true} {
-					db.SetParallelism(par)
-					db.SetBatchSize(bs)
-					db.SetProfile(prof)
-					res, err := db.Query(sql, Migration)
-					db.SetParallelism(1)
-					db.SetBatchSize(0)
-					db.SetProfile(false)
-					if err != nil {
-						t.Fatalf("P=%d BS=%d prof=%v: %v", par, bs, prof, err)
-					}
-					if prof && res.Profile == nil {
-						t.Fatalf("P=%d BS=%d: profiling on but Result.Profile nil", par, bs)
-					}
-					if !prof && res.Profile != nil {
-						t.Fatalf("P=%d BS=%d: profiling off but Result.Profile set", par, bs)
-					}
-					if first {
-						baseRows = canonRows(res)
-						baseCharged = res.Stats.Charged()
-						baseInv = res.Stats.Invocations
-						first = false
-						continue
-					}
-					if got := canonRows(res); strings.Join(got, "\n") != strings.Join(baseRows, "\n") {
-						t.Fatalf("P=%d BS=%d prof=%v: rows diverge from baseline", par, bs, prof)
-					}
-					if res.Stats.Charged() != baseCharged {
-						t.Fatalf("P=%d BS=%d prof=%v: charged %f != baseline %f",
-							par, bs, prof, res.Stats.Charged(), baseCharged)
-					}
-					for fn, n := range baseInv {
-						if res.Stats.Invocations[fn] != n {
-							t.Fatalf("P=%d BS=%d prof=%v: %s invoked %d times, baseline %d",
-								par, bs, prof, fn, res.Stats.Invocations[fn], n)
-						}
+		for _, bs := range []int{1, 256} {
+			for _, prof := range []bool{false, true} {
+				db.SetBatchSize(bs)
+				db.SetProfile(prof)
+				res, err := db.Query(sql, Migration)
+				db.SetBatchSize(0)
+				db.SetProfile(false)
+				if err != nil {
+					t.Fatalf("BS=%d prof=%v: %v", bs, prof, err)
+				}
+				if prof && res.Profile == nil {
+					t.Fatalf("BS=%d: profiling on but Result.Profile nil", bs)
+				}
+				if !prof && res.Profile != nil {
+					t.Fatalf("BS=%d: profiling off but Result.Profile set", bs)
+				}
+				if first {
+					baseRows = canonRows(res)
+					baseCharged = res.Stats.Charged()
+					baseInv = res.Stats.Invocations
+					first = false
+					continue
+				}
+				if got := canonRows(res); strings.Join(got, "\n") != strings.Join(baseRows, "\n") {
+					t.Fatalf("BS=%d prof=%v: rows diverge from baseline", bs, prof)
+				}
+				if res.Stats.Charged() != baseCharged {
+					t.Fatalf("BS=%d prof=%v: charged %f != baseline %f",
+						bs, prof, res.Stats.Charged(), baseCharged)
+				}
+				for fn, n := range baseInv {
+					if res.Stats.Invocations[fn] != n {
+						t.Fatalf("BS=%d prof=%v: %s invoked %d times, baseline %d",
+							bs, prof, fn, res.Stats.Invocations[fn], n)
 					}
 				}
 			}
@@ -100,41 +96,37 @@ func analyzeTree(t *testing.T, plan string) string {
 }
 
 // TestExplainAnalyzeTraceAgreement: EXPLAIN ANALYZE must report identical
-// per-node actual counts across executor configurations (serial, parallel,
-// tuple-at-a-time, batched) and never print actual=n/a — including for an
-// index-nested-loop plan whose inner chain executes via B-tree probes.
+// per-node actual counts tuple-at-a-time and batched, and never print
+// actual=n/a — including for an index-nested-loop plan whose inner chain
+// executes via B-tree probes.
 func TestExplainAnalyzeTraceAgreement(t *testing.T) {
 	db := openBench(t, 3, 9, 10)
 	for _, sql := range profileMatrixQueries {
 		var baseTree string
-		for _, par := range []int{1, 4} {
-			for _, bs := range []int{1, 256} {
-				db.SetParallelism(par)
-				db.SetBatchSize(bs)
-				res, err := db.Query("EXPLAIN ANALYZE "+sql, Migration)
-				db.SetParallelism(1)
-				db.SetBatchSize(0)
-				if err != nil {
-					t.Fatalf("P=%d BS=%d: %v", par, bs, err)
-				}
-				if strings.Contains(res.Plan, "n/a") {
-					t.Fatalf("P=%d BS=%d: plan has unattributed nodes:\n%s", par, bs, res.Plan)
-				}
-				if !strings.Contains(res.Plan, "est=") || !strings.Contains(res.Plan, "(×") {
-					t.Fatalf("P=%d BS=%d: plan missing est/err annotations:\n%s", par, bs, res.Plan)
-				}
-				if res.Profile == nil {
-					t.Fatalf("P=%d BS=%d: EXPLAIN ANALYZE returned no profile", par, bs)
-				}
-				tree := analyzeTree(t, res.Plan)
-				if baseTree == "" {
-					baseTree = tree
-					continue
-				}
-				if tree != baseTree {
-					t.Fatalf("P=%d BS=%d: actual counts diverge from serial:\n%s\nvs baseline:\n%s",
-						par, bs, tree, baseTree)
-				}
+		for _, bs := range []int{1, 256} {
+			db.SetBatchSize(bs)
+			res, err := db.Query("EXPLAIN ANALYZE "+sql, Migration)
+			db.SetBatchSize(0)
+			if err != nil {
+				t.Fatalf("BS=%d: %v", bs, err)
+			}
+			if strings.Contains(res.Plan, "n/a") {
+				t.Fatalf("BS=%d: plan has unattributed nodes:\n%s", bs, res.Plan)
+			}
+			if !strings.Contains(res.Plan, "est=") || !strings.Contains(res.Plan, "(×") {
+				t.Fatalf("BS=%d: plan missing est/err annotations:\n%s", bs, res.Plan)
+			}
+			if res.Profile == nil {
+				t.Fatalf("BS=%d: EXPLAIN ANALYZE returned no profile", bs)
+			}
+			tree := analyzeTree(t, res.Plan)
+			if baseTree == "" {
+				baseTree = tree
+				continue
+			}
+			if tree != baseTree {
+				t.Fatalf("BS=%d: actual counts diverge from tuple-at-a-time:\n%s\nvs baseline:\n%s",
+					bs, tree, baseTree)
 			}
 		}
 	}

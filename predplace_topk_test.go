@@ -2,7 +2,7 @@ package predplace_test
 
 // Top-k-aware execution tests: TopK on must return byte-identical rows to
 // the facade sort at a charged cost no higher than the baseline, across
-// placement algorithms × parallelism × batch width × predicate transfer;
+// placement algorithms × batch width × predicate transfer;
 // injected read faults mid-heap-fill must abort cleanly with nothing pinned
 // and nothing charged for the failed I/O.
 
@@ -37,10 +37,10 @@ var topkAgreementQueries = []string{
 }
 
 // TestRandomizedTopKAgreement: for every query and every configuration in
-// PushDown/Migration × Transfer {off,on} × Parallelism {1,4} × BatchSize
-// {1,256}, the TopK-on run must deliver exactly the TopK-off rows and charge
-// no more than the TopK-off baseline (strictly less on the ordered-scan
-// path; identical on the heap path, which wraps the same plan).
+// PushDown/Migration × Transfer {off,on} × BatchSize {1,256}, the TopK-on run
+// must deliver exactly the TopK-off rows and charge no more than the TopK-off
+// baseline (strictly less on the ordered-scan path; identical on the heap
+// path, which wraps the same plan).
 func TestRandomizedTopKAgreement(t *testing.T) {
 	db, err := predplace.Open(predplace.Config{Scale: 0.02, Tables: []int{1, 3}})
 	if err != nil {
@@ -49,38 +49,34 @@ func TestRandomizedTopKAgreement(t *testing.T) {
 	defer func() {
 		db.SetTopK(false)
 		db.SetTransfer(false)
-		db.SetParallelism(1)
 		db.SetBatchSize(0)
 	}()
 	for _, sql := range topkAgreementQueries {
 		for _, algo := range []predplace.Algorithm{predplace.PushDown, predplace.Migration} {
 			for _, transfer := range []bool{false, true} {
-				for _, par := range []int{1, 4} {
-					for _, bs := range []int{1, 256} {
-						db.SetTransfer(transfer)
-						db.SetParallelism(par)
-						db.SetBatchSize(bs)
-						db.SetTopK(false)
-						off, err := db.Query(sql, algo)
-						if err != nil {
-							t.Fatalf("%s %v transfer=%v P=%d BS=%d topk off: %v", sql, algo, transfer, par, bs, err)
-						}
-						db.SetTopK(true)
-						on, err := db.Query(sql, algo)
-						if err != nil {
-							t.Fatalf("%s %v transfer=%v P=%d BS=%d topk on: %v", sql, algo, transfer, par, bs, err)
-						}
-						if got, want := topkRows(on), topkRows(off); got != want {
-							t.Fatalf("%s %v transfer=%v P=%d BS=%d: rows diverge\ntopk on:\n%s\ntopk off:\n%s",
-								sql, algo, transfer, par, bs, got, want)
-						}
-						if onC, offC := on.Stats.Charged(), off.Stats.Charged(); onC > offC+1e-6 {
-							t.Fatalf("%s %v transfer=%v P=%d BS=%d: topk on charged %v > baseline %v",
-								sql, algo, transfer, par, bs, onC, offC)
-						}
-						if len(on.Rows) != len(off.Rows) {
-							t.Fatalf("%s %v: row counts diverge: %d vs %d", sql, algo, len(on.Rows), len(off.Rows))
-						}
+				for _, bs := range []int{1, 256} {
+					db.SetTransfer(transfer)
+					db.SetBatchSize(bs)
+					db.SetTopK(false)
+					off, err := db.Query(sql, algo)
+					if err != nil {
+						t.Fatalf("%s %v transfer=%v BS=%d topk off: %v", sql, algo, transfer, bs, err)
+					}
+					db.SetTopK(true)
+					on, err := db.Query(sql, algo)
+					if err != nil {
+						t.Fatalf("%s %v transfer=%v BS=%d topk on: %v", sql, algo, transfer, bs, err)
+					}
+					if got, want := topkRows(on), topkRows(off); got != want {
+						t.Fatalf("%s %v transfer=%v BS=%d: rows diverge\ntopk on:\n%s\ntopk off:\n%s",
+							sql, algo, transfer, bs, got, want)
+					}
+					if onC, offC := on.Stats.Charged(), off.Stats.Charged(); onC > offC+1e-6 {
+						t.Fatalf("%s %v transfer=%v BS=%d: topk on charged %v > baseline %v",
+							sql, algo, transfer, bs, onC, offC)
+					}
+					if len(on.Rows) != len(off.Rows) {
+						t.Fatalf("%s %v: row counts diverge: %d vs %d", sql, algo, len(on.Rows), len(off.Rows))
 					}
 				}
 			}
@@ -197,32 +193,28 @@ func TestFaultTopKMidFill(t *testing.T) {
 		baseRows := topkRows(base)
 		baseCharged := base.Stats.Charged()
 
-		for _, p := range []int{1, 4} {
-			db.SetParallelism(p)
-			for n := int64(1); n <= reads; n++ {
-				audit := harness.StartLeakAudit()
-				if err := db.EvictPool(); err != nil {
-					t.Fatal(err)
+		for n := int64(1); n <= reads; n++ {
+			audit := harness.StartLeakAudit()
+			if err := db.EvictPool(); err != nil {
+				t.Fatal(err)
+			}
+			db.SetFaults(&predplace.FaultConfig{FailReadN: n})
+			res, err := db.Query(sql, predplace.Migration)
+			db.SetFaults(nil)
+			if err != nil && !errors.Is(err, predplace.ErrInjectedFault) {
+				t.Fatalf("%s failN=%d: error does not wrap the injected fault: %v", sql, n, err)
+			}
+			if err == nil {
+				if got := topkRows(res); got != baseRows {
+					t.Fatalf("%s failN=%d: clean run rows differ from baseline", sql, n)
 				}
-				db.SetFaults(&predplace.FaultConfig{FailReadN: n})
-				res, err := db.Query(sql, predplace.Migration)
-				db.SetFaults(nil)
-				if err != nil && !errors.Is(err, predplace.ErrInjectedFault) {
-					t.Fatalf("%s P=%d failN=%d: error does not wrap the injected fault: %v", sql, p, n, err)
-				}
-				if err == nil {
-					if got := topkRows(res); got != baseRows {
-						t.Fatalf("%s P=%d failN=%d: clean run rows differ from baseline", sql, p, n)
-					}
-					if c := res.Stats.Charged(); c > baseCharged+1e-6 || c < baseCharged-1e-6 {
-						t.Fatalf("%s P=%d failN=%d: charged %v, baseline %v", sql, p, n, c, baseCharged)
-					}
-				}
-				if err := audit.Verify(db); err != nil {
-					t.Fatalf("%s P=%d failN=%d: %v", sql, p, n, err)
+				if c := res.Stats.Charged(); c > baseCharged+1e-6 || c < baseCharged-1e-6 {
+					t.Fatalf("%s failN=%d: charged %v, baseline %v", sql, n, c, baseCharged)
 				}
 			}
+			if err := audit.Verify(db); err != nil {
+				t.Fatalf("%s failN=%d: %v", sql, n, err)
+			}
 		}
-		db.SetParallelism(1)
 	}
 }

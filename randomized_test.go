@@ -165,9 +165,6 @@ func TestRandomizedTransferAgreement(t *testing.T) {
 	for trial := 0; trial < 12; trial++ {
 		sql := genQuery(rng)
 		algo := algos[trial%len(algos)]
-		// Alternate serial and parallel executors: charged cost and rows are
-		// parallelism-invariant, so every invariant below must hold at both.
-		db.SetParallelism([]int{1, 4}[trial%2])
 		for _, caching := range []bool{false, true} {
 			db.SetCaching(caching)
 			db.SetTransfer(false)

@@ -35,7 +35,6 @@ func TestConcurrentSessionsMatchSerial(t *testing.T) {
 	for _, caching := range []bool{false, true} {
 		// Serial baselines under this leg's caching setting, default knobs.
 		db.SetCaching(caching)
-		db.SetParallelism(1)
 		db.SetBatchSize(0)
 		db.SetProfile(false)
 		type baseline struct {
@@ -52,10 +51,7 @@ func TestConcurrentSessionsMatchSerial(t *testing.T) {
 		}
 
 		// Knob churn: batching and profiling never change results or charged
-		// cost; neither does parallelism with caching off. With caching on,
-		// parallel workers' interleaving changes which tuple warms a cache
-		// entry first, so that leg pins parallelism at 1 and churns only the
-		// invariant knobs.
+		// cost.
 		stop := make(chan struct{})
 		var churn sync.WaitGroup
 		churn.Add(1)
@@ -69,9 +65,6 @@ func TestConcurrentSessionsMatchSerial(t *testing.T) {
 				}
 				db.SetBatchSize([]int{0, 1, 7, 64}[i%4])
 				db.SetProfile(i%3 == 0)
-				if !caching {
-					db.SetParallelism([]int{1, 2, 4}[i%3])
-				}
 			}
 		}()
 
@@ -117,7 +110,6 @@ func TestConcurrentSessionsMatchSerial(t *testing.T) {
 		for err := range errs {
 			t.Fatalf("caching=%v: %v", caching, err)
 		}
-		db.SetParallelism(1)
 		db.SetBatchSize(0)
 		db.SetProfile(false)
 		if got := db.PinnedFrames(); got != 0 {
