@@ -65,8 +65,8 @@ func BenchmarkBatchExpensiveFilter(b *testing.B) {
 }
 
 // BenchmarkBatchHashJoin isolates the hash-join build+probe path: batch
-// mode builds from NextBatch slices, probes with a reused key buffer, and
-// slab-materializes output rows instead of per-pair Concat allocations.
+// mode builds from NextBatch slices and slab-materializes output rows
+// instead of per-pair Concat allocations.
 func BenchmarkBatchHashJoin(b *testing.B) {
 	benchBatchSizes(b, "SELECT * FROM t3, t9 WHERE t3.ua1 = t9.ua1", predplace.PushDown)
 }

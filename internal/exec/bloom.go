@@ -67,11 +67,14 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// bloomHash maps a join-key value to the single 64-bit hash the filter
-// consumes. Equal values (expr.Value.Equal) hash identically — the filter's
-// no-false-negative guarantee rests on that. Int and bool keys skip the FNV
-// path entirely: the raw payload goes straight through the mixer.
-func bloomHash(v expr.Value) uint64 {
+// keyHash maps a join-key value to the single 64-bit hash both the Bloom
+// filter and the hash join's chained table consume. Equal values
+// (expr.Value.Equal) hash identically — the filter's no-false-negative
+// guarantee and the join table's bucket choice both rest on that. Int and
+// bool keys skip the FNV path entirely: the raw payload goes straight
+// through the mixer. Its output is part of the transfer gate's record (Bloom
+// bit positions decide which rows are pruned), so it must not change.
+func keyHash(v expr.Value) uint64 {
 	if v.Kind == expr.TInt || v.Kind == expr.TBool {
 		return splitmix64(uint64(v.I) ^ uint64(v.Kind)<<56)
 	}

@@ -15,7 +15,7 @@ func TestBloomNoFalseNegatives(t *testing.T) {
 		f := newBloomFilter(n)
 		keys := make([]uint64, n)
 		for i := range keys {
-			keys[i] = bloomHash(expr.I(rng.Int63()))
+			keys[i] = keyHash(expr.I(rng.Int63()))
 		}
 		f.AddBatch(keys)
 		for i, h := range keys {
@@ -39,7 +39,7 @@ func TestBloomFPRateWithinAnalyticBound(t *testing.T) {
 	f := newBloomFilter(members)
 	seen := make(map[uint64]bool, members)
 	for i := int64(0); i < members; i++ {
-		h := bloomHash(expr.I(i))
+		h := keyHash(expr.I(i))
 		seen[h] = true
 		f.Add(h)
 	}
@@ -49,7 +49,7 @@ func TestBloomFPRateWithinAnalyticBound(t *testing.T) {
 	}
 	fp := 0
 	for i := int64(0); i < probes; i++ {
-		h := bloomHash(expr.I(members + 1 + i*7919))
+		h := keyHash(expr.I(members + 1 + i*7919))
 		if seen[h] {
 			continue
 		}
@@ -69,12 +69,12 @@ func TestBloomFPRateWithinAnalyticBound(t *testing.T) {
 func TestBloomBatchMatchesScalar(t *testing.T) {
 	f := newBloomFilter(64)
 	for i := int64(0); i < 64; i += 2 {
-		f.Add(bloomHash(expr.I(i)))
+		f.Add(keyHash(expr.I(i)))
 	}
 	hs := make([]uint64, 128)
 	keep := make([]bool, 128)
 	for i := range hs {
-		hs[i] = bloomHash(expr.I(int64(i)))
+		hs[i] = keyHash(expr.I(int64(i)))
 		keep[i] = i%3 != 0 // every third row pre-rejected by an earlier filter
 	}
 	wantProbes := 0

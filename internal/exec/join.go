@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -429,19 +430,68 @@ type hashJoinIter struct {
 	outer   Iterator
 	inner   Iterator
 	outIdx  int
-	inIdx   int
-	table   map[string][]expr.Row
+	table   joinTable
 	outRow  expr.Row
-	bucket  []expr.Row
-	pos     int
+	key     expr.Value // outRow's join key
+	cur     int32      // next matching build row for outRow, or -1
 	haveOut bool
 	count   int
-	// batch state: current outer batch, probe key scratch, output row slab
-	obuf   []expr.Row
-	opos   int
-	olen   int
-	keyBuf []byte
-	alloc  rowAlloc
+	// batch state: current outer batch, output row slab
+	obuf  []expr.Row
+	opos  int
+	olen  int
+	alloc rowAlloc
+}
+
+// joinTable is the hash join's build side: a flat chained hash table. The
+// build appends rows to one slice; link then threads a chain per bucket
+// through heads (one slot per bucket, a power of two at least twice the row
+// count) and next (one slot per row), linking from the last row to the
+// first so every chain lists its rows in arrival order. A probe therefore
+// visits an outer key's matches in inner arrival order, and no key is ever
+// encoded or copied: buckets come from keyHash, matches are confirmed by
+// Value.Equal, which is kind-sensitive (I(1) never matches B(true)).
+type joinTable struct {
+	keyIdx int
+	rows   []expr.Row
+	heads  []int32 // first row of each bucket's chain, -1 when empty
+	next   []int32 // the row after each row in its chain, -1 at the end
+	mask   uint64
+}
+
+// link builds the chains over every appended row.
+func (t *joinTable) link() {
+	size := 1
+	for size < 2*len(t.rows) {
+		size <<= 1
+	}
+	t.mask = uint64(size - 1)
+	t.heads = make([]int32, size)
+	for i := range t.heads {
+		t.heads[i] = -1
+	}
+	t.next = make([]int32, len(t.rows))
+	for i := len(t.rows) - 1; i >= 0; i-- {
+		b := keyHash(t.rows[i][t.keyIdx]) & t.mask
+		t.next[i] = t.heads[b]
+		t.heads[b] = int32(i)
+	}
+}
+
+// probe returns the first build row whose key equals v, or -1.
+func (t *joinTable) probe(v expr.Value) int32 {
+	return t.seek(t.heads[keyHash(v)&t.mask], v)
+}
+
+// seek returns the first row at or after chain position i whose key equals
+// v, or -1.
+func (t *joinTable) seek(i int32, v expr.Value) int32 {
+	for ; i >= 0; i = t.next[i] {
+		if t.rows[i][t.keyIdx].Equal(v) {
+			return i
+		}
+	}
+	return -1
 }
 
 func newHashJoin(e *Env, j *plan.Join) (Iterator, error) {
@@ -460,14 +510,14 @@ func newHashJoin(e *Env, j *plan.Join) (Iterator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &hashJoinIter{e: e, node: j, outer: outer, inner: inner, outIdx: oi, inIdx: ii}, nil
+	return &hashJoinIter{e: e, node: j, outer: outer, inner: inner, outIdx: oi,
+		table: joinTable{keyIdx: ii}, cur: -1}, nil
 }
 
 func (h *hashJoinIter) Open() error {
 	if err := h.inner.Open(); err != nil {
 		return err
 	}
-	h.table = make(map[string][]expr.Row)
 	if bs := h.e.batchSize(); bs > 1 {
 		if err := h.buildBatched(bs); err != nil {
 			return err
@@ -475,6 +525,7 @@ func (h *hashJoinIter) Open() error {
 	} else if err := h.buildTupleAtATime(); err != nil {
 		return err
 	}
+	h.table.link()
 	if err := h.inner.Close(); err != nil {
 		return err
 	}
@@ -491,29 +542,16 @@ func (h *hashJoinIter) buildTupleAtATime() error {
 		if !ok {
 			return nil
 		}
-		h.e.ChargeSpillTuple()
-		v := row[h.inIdx]
-		if v.IsNull() {
-			continue
-		}
-		k := string(v.AppendKey(nil))
-		h.table[k] = append(h.table[k], row)
-		h.count++
-		if h.count%1024 == 0 {
-			if err := h.e.checkAbort(); err != nil {
-				return err
-			}
+		if err := h.add(row); err != nil {
+			return err
 		}
 	}
 }
 
-// buildBatched drains the inner input batch-at-a-time, encoding join keys
-// into a reused buffer (a string materializes only on map insert). Spill
-// charges, skipped NULL keys, and budget cadence match the legacy loop.
+// buildBatched drains the inner input batch-at-a-time.
 func (h *hashJoinIter) buildBatched(bs int) error {
 	buf := getRowBuf(bs)
 	defer putRowBuf(buf)
-	var keyBuf []byte
 	for {
 		m, err := nextBatch(h.inner, buf)
 		if err != nil {
@@ -523,21 +561,50 @@ func (h *hashJoinIter) buildBatched(bs int) error {
 			return nil
 		}
 		for _, row := range buf[:m] {
-			h.e.ChargeSpillTuple()
-			v := row[h.inIdx]
-			if v.IsNull() {
-				continue
-			}
-			keyBuf = v.AppendKey(keyBuf[:0])
-			h.table[string(keyBuf)] = append(h.table[string(keyBuf)], row)
-			h.count++
-			if h.count%1024 == 0 {
-				if err := h.e.checkAbort(); err != nil {
-					return err
-				}
+			if err := h.add(row); err != nil {
+				return err
 			}
 		}
 	}
+}
+
+// add charges one build tuple's spill and appends it to the table unless
+// its key is NULL (NULL never equals anything).
+func (h *hashJoinIter) add(row expr.Row) error {
+	h.e.ChargeSpillTuple()
+	if row[h.table.keyIdx].IsNull() {
+		return nil
+	}
+	h.table.rows = append(h.table.rows, row)
+	h.count++
+	if h.count%1024 == 0 {
+		return h.e.checkAbort()
+	}
+	return nil
+}
+
+// probeOuter charges one probe tuple's spill, ticks the budget cadence, and
+// positions cur at row's first match (-1 for a NULL key).
+func (h *hashJoinIter) probeOuter(row expr.Row) error {
+	h.e.ChargeSpillTuple()
+	h.outRow, h.key = row, row[h.outIdx]
+	if h.key.IsNull() {
+		h.cur = -1
+	} else {
+		h.cur = h.table.probe(h.key)
+	}
+	h.count++
+	if h.count%1024 == 0 {
+		return h.e.checkAbort()
+	}
+	return nil
+}
+
+// match returns the current match and advances cur along the chain.
+func (h *hashJoinIter) match() expr.Row {
+	irow := h.table.rows[h.cur]
+	h.cur = h.table.seek(h.table.next[h.cur], h.key)
+	return irow
 }
 
 func (h *hashJoinIter) Next() (expr.Row, bool, error) {
@@ -547,44 +614,30 @@ func (h *hashJoinIter) Next() (expr.Row, bool, error) {
 			if err != nil || !ok {
 				return nil, false, err
 			}
-			h.e.ChargeSpillTuple()
-			h.outRow, h.haveOut, h.pos = row, true, 0
-			v := row[h.outIdx]
-			if v.IsNull() {
-				h.bucket = nil
-			} else {
-				h.bucket = h.table[string(v.AppendKey(nil))]
-			}
-			h.count++
-			if h.count%1024 == 0 {
-				if err := h.e.checkAbort(); err != nil {
-					return nil, false, err
-				}
+			h.haveOut = true
+			if err := h.probeOuter(row); err != nil {
+				return nil, false, err
 			}
 		}
-		if h.pos < len(h.bucket) {
-			irow := h.bucket[h.pos]
-			h.pos++
-			return h.outRow.Concat(irow), true, nil
+		if h.cur >= 0 {
+			return h.outRow.Concat(h.match()), true, nil
 		}
 		h.haveOut = false
 	}
 }
 
-// NextBatch probes the hash table with a batch of outer rows at a time:
-// probe keys are encoded into a reused buffer (map lookup on a []byte
-// conversion is allocation-free), and output rows are carved from a value
-// slab instead of one Concat allocation per match. Spill charges, probe
-// order, and budget cadence match the Next path exactly.
+// NextBatch probes the hash table with a batch of outer rows at a time;
+// output rows are carved from a value slab instead of one Concat
+// allocation per match. Spill charges, probe order, and budget cadence
+// match the Next path exactly.
 func (h *hashJoinIter) NextBatch(dst []expr.Row) (int, error) {
 	if cap(h.obuf) < h.e.batchSize() {
 		h.obuf = make([]expr.Row, h.e.batchSize())
 	}
 	n := 0
 	for n < len(dst) {
-		if h.pos < len(h.bucket) {
-			irow := h.bucket[h.pos]
-			h.pos++
+		if h.cur >= 0 {
+			irow := h.match()
 			out := h.alloc.next(len(h.outRow) + len(irow))
 			copy(out, h.outRow)
 			copy(out[len(h.outRow):], irow)
@@ -604,21 +657,9 @@ func (h *hashJoinIter) NextBatch(dst []expr.Row) (int, error) {
 		}
 		row := h.obuf[h.opos]
 		h.opos++
-		h.e.ChargeSpillTuple()
-		h.count++
-		if h.count%1024 == 0 {
-			if err := h.e.checkAbort(); err != nil {
-				return 0, err
-			}
+		if err := h.probeOuter(row); err != nil {
+			return 0, err
 		}
-		v := row[h.outIdx]
-		if v.IsNull() {
-			h.bucket = nil
-			continue
-		}
-		h.keyBuf = v.AppendKey(h.keyBuf[:0])
-		h.bucket = h.table[string(h.keyBuf)]
-		h.outRow, h.pos = row, 0
 	}
 	return n, nil
 }
@@ -699,9 +740,7 @@ func (m *mergeJoinIter) Open() error {
 	}
 	sortSide := func(rows []expr.Row, idx int) {
 		m.e.ChargeSynthetic(float64(len(rows)) * cost.SortSpillPerTuple)
-		slices.SortStableFunc(rows, func(a, b expr.Row) int {
-			return a[idx].Compare(b[idx])
-		})
+		sortByKey(rows, idx)
 	}
 	if m.node.SortOuter {
 		sortSide(m.orows, m.outIdx)
@@ -711,6 +750,42 @@ func (m *mergeJoinIter) Open() error {
 	}
 	m.opened = true
 	return m.e.checkAbort()
+}
+
+// sortByKey sorts rows by column idx, keeping equal keys in their original
+// order. Breaking ties by original position makes the order total, so one
+// O(n log n) pattern-defeating quicksort over a permutation of 4-byte row
+// positions yields exactly the stable order; the permutation is then
+// applied in place.
+func sortByKey(rows []expr.Row, idx int) {
+	perm := make([]int32, len(rows))
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	slices.SortFunc(perm, func(a, b int32) int {
+		if c := rows[a][idx].Compare(rows[b][idx]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	// Slot i takes the row at perm[i]. Walk each cycle of the permutation
+	// once, marking a filled slot by setting perm[slot] = slot.
+	for i := range rows {
+		if perm[i] == int32(i) {
+			continue
+		}
+		first, j := rows[i], i
+		for {
+			k := int(perm[j])
+			perm[j] = int32(j)
+			if k == i {
+				rows[j] = first
+				break
+			}
+			rows[j] = rows[k]
+			j = k
+		}
+	}
 }
 
 func (m *mergeJoinIter) Next() (expr.Row, bool, error) {

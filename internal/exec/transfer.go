@@ -483,7 +483,7 @@ func (ts *transferState) scanTable(e *Env, t *transferTable) error {
 			continue
 		}
 		for si := range t.slots {
-			t.slots[si].hs[m] = bloomHash(slotVal[si])
+			t.slots[si].hs[m] = keyHash(slotVal[si])
 		}
 		if rows != nil {
 			for _, idx := range t.costlyCols {
@@ -574,7 +574,7 @@ func (e *Env) probeRecord(codec *catalog.RowCodec, rec []byte, probes []tablePro
 			break
 		}
 		tested++
-		if !e.testFilter(p.class, bloomHash(v)) {
+		if !e.testFilter(p.class, keyHash(v)) {
 			keep = false
 			break
 		}
@@ -609,7 +609,7 @@ func (e *Env) probeRow(row expr.Row, probes []tableProbe, tc *opCounters) bool {
 			break
 		}
 		tested++
-		if !e.testFilter(p.class, bloomHash(v)) {
+		if !e.testFilter(p.class, keyHash(v)) {
 			keep = false
 			break
 		}

@@ -73,9 +73,9 @@ func (h *Harness) Ablations() (*Report, error) {
 	var invs []int64
 	for _, limit := range []int{0, 100, 10} {
 		h.DB.SetCacheLimit(limit)
-		res, err := h.DB.Query(Query3, predplace.PullUp)
+		res, err := h.query(Query3, predplace.PullUp)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("query3 cache limit %d: %w", limit, err)
 		}
 		inv := res.Stats.Invocations["costly100"]
 		invs = append(invs, inv)

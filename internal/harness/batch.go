@@ -44,7 +44,7 @@ func (h *Harness) measure(sql string, iters int) (*predplace.Result, float64, ui
 	for i := 0; i < iters; i++ {
 		runtime.ReadMemStats(&m0)
 		t0 := time.Now()
-		r, err := h.DB.Query(sql, predplace.Migration)
+		r, err := h.query(sql, predplace.Migration)
 		elapsed := time.Since(t0)
 		runtime.ReadMemStats(&m1)
 		if err != nil {

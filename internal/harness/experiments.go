@@ -200,7 +200,7 @@ func isJoinLine(trimmed string) bool {
 func (h *Harness) figure(id, title, sql string, caching bool, budgetFactor float64,
 	shapes func(c *comparison) []ShapeCheck, extra ...predplace.Algorithm) (*Report, error) {
 	algos := append(append([]predplace.Algorithm(nil), fourAlgos...), extra...)
-	c, err := h.compare(sql, caching, budgetFactor, algos...)
+	c, err := h.compare(id, sql, caching, budgetFactor, algos...)
 	if err != nil {
 		return nil, err
 	}
@@ -438,11 +438,11 @@ func (h *Harness) PlanTime5Way() (*Report, error) {
 // over-eager pullup on Query 3 by bounding invocations at the number of
 // distinct bindings (join selectivities on values are capped at 1).
 func (h *Harness) CachingAblation() (*Report, error) {
-	off, err := h.compare(Query3, false, 0, predplace.PullUp, predplace.Migration)
+	off, err := h.compare("query3", Query3, false, 0, predplace.PullUp, predplace.Migration)
 	if err != nil {
 		return nil, err
 	}
-	on, err := h.compare(Query3, true, 0, predplace.PullUp, predplace.Migration)
+	on, err := h.compare("query3", Query3, true, 0, predplace.PullUp, predplace.Migration)
 	if err != nil {
 		return nil, err
 	}

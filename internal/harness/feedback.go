@@ -15,13 +15,10 @@ package harness
 // re-plan onto the cheaper strategy.
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"slices"
 	"strings"
-	"time"
 
 	"predplace"
 	"predplace/internal/cost"
@@ -45,10 +42,6 @@ const (
 	fbJoinSeed = 424242321
 	// fbRobustE is the Robust error-interval half-width the bench plans with.
 	fbRobustE = 4.0
-	// fbTimeout is every run's wall-clock deadline, so the bench ends with a
-	// verdict at any scale: a run that exceeds it fails the bench with an
-	// error naming the algorithm and the injected error factor.
-	fbTimeout = 60 * time.Second
 )
 
 // FeedbackQuery hinges on fbsel(t3.ua1)'s declared selectivity s: the a10
@@ -141,16 +134,13 @@ func (h *Harness) registerFbjoin() error {
 
 // fbRun evicts the pool and runs FeedbackQuery under one algorithm, returning
 // the result (cold-cache charged cost is then comparable across cells). e is
-// the injected estimate error, named in the error of a run that does not
-// finish within fbTimeout.
+// the injected estimate error, named in the error of a run that fails or
+// does not finish within stmtTimeout.
 func (h *Harness) fbRun(algo predplace.Algorithm, e float64) (*predplace.Result, error) {
 	if err := h.DB.EvictPool(); err != nil {
 		return nil, err
 	}
-	res, err := h.DB.Query(FeedbackQuery, algo)
-	if errors.Is(err, context.DeadlineExceeded) {
-		return nil, fmt.Errorf("%v at e=%g did not finish within %v: %w", algo, e, fbTimeout, err)
-	}
+	res, err := h.query(FeedbackQuery, algo)
 	if err != nil {
 		return nil, fmt.Errorf("%v at e=%g: %w", algo, e, err)
 	}
@@ -170,12 +160,10 @@ func (h *Harness) RunFeedbackBench() (*FeedbackBench, error) {
 	h.DB.SetTopK(false)
 	h.DB.SetBatchSize(0)
 	h.DB.SetRobustE(fbRobustE)
-	h.DB.SetTimeout(fbTimeout)
 	defer func() {
 		h.DB.SetFeedback(false)
 		h.DB.SetFeedbackThreshold(0)
 		h.DB.SetRobustE(0)
-		h.DB.SetTimeout(0)
 	}()
 
 	bench := &FeedbackBench{

@@ -6,13 +6,39 @@
 package harness
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
+	"time"
 
 	"predplace"
 	"predplace/internal/expr"
 )
+
+// stmtTimeout is every benchmark statement's wall-clock deadline, so each
+// ppbench leg ends with a verdict at any scale: a statement that overruns it
+// fails the leg with an error naming the query, and ppbench exits nonzero.
+const stmtTimeout = 60 * time.Second
+
+// query runs one statement under the stmtTimeout deadline. Callers name the
+// query when they pass its error on.
+func (h *Harness) query(sql string, algo predplace.Algorithm) (*predplace.Result, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), stmtTimeout)
+	defer cancel()
+	res, err := h.DB.QueryContext(ctx, sql, algo)
+	return res, stmtErr(err)
+}
+
+// stmtErr marks an error caused by the stmtTimeout deadline as such; other
+// errors pass through unchanged.
+func stmtErr(err error) error {
+	if errors.Is(err, context.DeadlineExceeded) {
+		return fmt.Errorf("did not finish within %v: %w", stmtTimeout, err)
+	}
+	return err
+}
 
 // exactRows renders a result set order-sensitively, one "|"-joined string
 // per row.
@@ -123,10 +149,11 @@ type comparison struct {
 	results []*predplace.Result
 }
 
-// compare runs sql under the given algorithms. budgetFactor, when positive,
-// caps each run's charged cost at budgetFactor × the cheapest observed so
-// far (the first algorithm runs unbounded to establish the baseline).
-func (h *Harness) compare(sql string, caching bool, budgetFactor float64,
+// compare runs sql, called name in errors, under the given algorithms.
+// budgetFactor, when positive, caps each run's charged cost at budgetFactor
+// × the cheapest observed so far (the first algorithm runs unbounded to
+// establish the baseline).
+func (h *Harness) compare(name, sql string, caching bool, budgetFactor float64,
 	algos ...predplace.Algorithm) (*comparison, error) {
 	h.DB.SetCaching(caching)
 	defer h.DB.SetBudget(0)
@@ -138,9 +165,9 @@ func (h *Harness) compare(sql string, caching bool, budgetFactor float64,
 		} else {
 			h.DB.SetBudget(0)
 		}
-		r, err := h.DB.Query(sql, a)
+		r, err := h.query(sql, a)
 		if err != nil {
-			return nil, fmt.Errorf("%v: %w", a, err)
+			return nil, fmt.Errorf("%s %v: %w", name, a, err)
 		}
 		c.results = append(c.results, r)
 		if !r.DNF {

@@ -98,7 +98,7 @@ func (h *Harness) RunServerBench(sessions []int, iters int) (*ServerBench, error
 	// Single-session baselines.
 	var base []serverBaseline
 	for _, q := range benchQueries {
-		res, err := h.DB.Query(q.sql, predplace.Migration)
+		res, err := h.query(q.sql, predplace.Migration)
 		if err != nil {
 			return nil, fmt.Errorf("%s baseline: %w", q.name, err)
 		}
@@ -166,14 +166,16 @@ func (h *Harness) serverLeg(n, iters int, base []serverBaseline) (*ServerSession
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				qi := (offset + i) % len(benchQueries)
+				ctx, cancel := context.WithTimeout(context.Background(), stmtTimeout)
 				t0 := time.Now()
-				res, err := srv.Query(context.Background(), fmt.Sprintf("session-%d", offset),
+				res, err := srv.Query(ctx, fmt.Sprintf("session-%d", offset),
 					benchQueries[qi].sql, predplace.Migration)
 				lat := time.Since(t0).Seconds() * 1e3
+				cancel()
 				mu.Lock()
 				if err != nil {
 					if firstErr == nil {
-						firstErr = fmt.Errorf("%s: %w", benchQueries[qi].name, err)
+						firstErr = fmt.Errorf("%s: %w", benchQueries[qi].name, stmtErr(err))
 					}
 				} else {
 					latencies = append(latencies, lat)
@@ -246,7 +248,9 @@ func (h *Harness) serverShedLeg(burst int) ServerShedResult {
 		go func() {
 			defer wg.Done()
 			<-start
-			_, err := srv.Query(context.Background(), "burst", sql, predplace.Migration)
+			ctx, cancel := context.WithTimeout(context.Background(), stmtTimeout)
+			defer cancel()
+			_, err := srv.Query(ctx, "burst", sql, predplace.Migration)
 			if err != nil && !errors.Is(err, predplace.ErrOverloaded) {
 				mu.Lock()
 				unexpected++
@@ -268,9 +272,14 @@ func (h *Harness) serverQuotaLeg(quota float64) ServerQuotaResult {
 	srv := predplace.NewServer(h.DB, predplace.ServerConfig{MaxConcurrent: 2})
 	srv.SetTenantQuota("capped", quota)
 	out := ServerQuotaResult{Quota: quota}
-	res, err := srv.Query(context.Background(), "capped", benchQueries[0].sql, predplace.Migration)
+	run := func() (*predplace.Result, error) {
+		ctx, cancel := context.WithTimeout(context.Background(), stmtTimeout)
+		defer cancel()
+		return srv.Query(ctx, "capped", benchQueries[0].sql, predplace.Migration)
+	}
+	res, err := run()
 	out.FirstDNF = err == nil && res.DNF
-	_, err = srv.Query(context.Background(), "capped", benchQueries[0].sql, predplace.Migration)
+	_, err = run()
 	out.ThenRejected = errors.Is(err, predplace.ErrQuotaExceeded)
 	return out
 }

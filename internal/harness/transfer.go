@@ -168,7 +168,7 @@ func (h *Harness) RunTransferBench(iters int) (*TransferBench, error) {
 		h.DB.SetBatchSize(0)
 		h.DB.SetTransfer(true)
 		h.DB.SetProfile(true)
-		prof, err := h.DB.Query(q.sql, predplace.Migration)
+		prof, err := h.query(q.sql, predplace.Migration)
 		h.DB.SetProfile(false)
 		if err != nil {
 			return nil, fmt.Errorf("%s profiled transfer run: %w", q.name, err)

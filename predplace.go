@@ -21,6 +21,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -937,13 +938,15 @@ func finishResult(bound *sqlparse.Bound, res *Result, topkPlanned bool) error {
 		if idx < 0 {
 			return fmt.Errorf("predplace: ORDER BY column %s is not in the select list", bound.OrderBy)
 		}
-		sort.SliceStable(res.Rows, func(a, b int) bool {
-			ra, rb := res.Rows[a], res.Rows[b]
+		// The full-row tie-break makes the order total on distinguishable
+		// rows, so an unstable sort returns exactly what a stable one would:
+		// rows it may swap compare equal in every column.
+		slices.SortFunc(res.Rows, func(ra, rb []Value) int {
 			if c := ra[idx].Compare(rb[idx]); c != 0 {
 				if bound.Desc {
-					return c > 0
+					return -c
 				}
-				return c < 0
+				return c
 			}
 			// Deterministic tie-break: equal keys order by the full projected
 			// row, ascending regardless of Desc. The TopK operator uses the
@@ -951,10 +954,10 @@ func finishResult(bound *sqlparse.Bound, res *Result, topkPlanned bool) error {
 			// the facade or the executor sorts them.
 			for i := range ra {
 				if c := ra[i].Compare(rb[i]); c != 0 {
-					return c < 0
+					return c
 				}
 			}
-			return false
+			return 0
 		})
 	}
 	if bound.Limit >= 0 && int64(len(res.Rows)) > bound.Limit {

@@ -8,6 +8,8 @@ package predplace_test
 
 import (
 	"errors"
+	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
@@ -118,6 +120,62 @@ func TestTopKDefaultOffByteIdentical(t *testing.T) {
 	}
 	if strings.Contains(a.Plan, "TopK") || strings.Contains(a.Plan, "Limit") {
 		t.Fatalf("TopK-off plan contains a top-k node:\n%s", a.Plan)
+	}
+}
+
+// TestFacadeOrderByMatchesStableSort: with TopK off the facade sorts the
+// whole result. Over heavy ties on the ORDER BY key, and with duplicate
+// projected rows, its rows must equal a stable sort of the unordered result
+// under the key-then-full-row comparator, ascending and descending.
+func TestFacadeOrderByMatchesStableSort(t *testing.T) {
+	db, err := predplace.Open(predplace.Config{Scale: 0.02, Tables: []int{1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		sel  string
+		key  int // ORDER BY column's position in the select list
+		desc bool
+		k    int // LIMIT, or -1 for none
+	}{
+		{"SELECT t1.u10, t1.u100 FROM t1 WHERE t1.u20 < 15", 0, false, 60},
+		{"SELECT t1.u10, t1.u100 FROM t1 WHERE t1.u20 < 15", 0, true, 60},
+		{"SELECT t1.u100, t1.u10 FROM t1", 1, true, -1},
+		{"SELECT * FROM t1", 4, false, 25},
+	} {
+		base, err := db.Query(c.sel, predplace.Migration)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := base.Rows
+		sort.SliceStable(ref, func(a, b int) bool {
+			ra, rb := ref[a], ref[b]
+			if x := ra[c.key].Compare(rb[c.key]); x != 0 {
+				return (x < 0) != c.desc
+			}
+			for i := range ra {
+				if x := ra[i].Compare(rb[i]); x != 0 {
+					return x < 0
+				}
+			}
+			return false
+		})
+		sql := c.sel + " ORDER BY t1.u10"
+		if c.desc {
+			sql += " DESC"
+		}
+		if c.k >= 0 {
+			sql += fmt.Sprintf(" LIMIT %d", c.k)
+			ref = ref[:c.k]
+		}
+		res, err := db.Query(sql, predplace.Migration)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base.Rows = ref
+		if got, want := topkRows(res), topkRows(base); got != want {
+			t.Fatalf("%s: rows differ from the stable-sort reference\ngot:\n%s\nwant:\n%s", sql, got, want)
+		}
 	}
 }
 
