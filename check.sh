@@ -28,6 +28,17 @@ go test -race ./...
 echo "==> bench smoke (go test -bench Fig3 -benchtime 1x)"
 go test -run '^$' -bench Fig3 -benchtime 1x .
 
+echo "==> planner micro-benchmark smoke (go test -bench BenchmarkPlan -benchtime 1x)"
+# Plans fixed adhoc-shaped 3-5-way joins with Migration and Robust once
+# each; a planning error fails the gate.
+go test -run '^$' -bench BenchmarkPlan -benchtime 1x ./internal/optimizer
+
+echo "==> placement fuzz (FuzzPlacementAgreesWithExhaustive, 20 s)"
+# Differential fuzzing beyond the checked-in seed corpus (plain go test
+# replays that corpus): every System R algorithm and Robust must return the
+# Exhaustive oracle's rows and keep the incremental-costing contract.
+go test -run '^$' -fuzz FuzzPlacementAgreesWithExhaustive -fuzztime 20s ./internal/optimizer
+
 echo "==> batch-executor gate (ppbench -batch)"
 # Runs Queries 1-5 tuple-at-a-time (BatchSize 1, the legacy executor) and
 # batched on one database; exits nonzero if the batched executor's result

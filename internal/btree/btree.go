@@ -101,8 +101,12 @@ func (t *Tree) insert(n *node, key int64, tid storage.TID) (*node, int64) {
 			return nil, 0
 		}
 		mid := len(n.entries) / 2
-		right := &node{leaf: true, entries: append([]Entry(nil), n.entries[mid:]...), next: n.next}
-		n.entries = n.entries[:mid]
+		// The left half moves to an array of its own size and the right
+		// half to one that grows to the next split without reallocating:
+		// as many allocations as growing by append, without leaving a half
+		// in the grown pre-split array (over twice its size).
+		right := &node{leaf: true, entries: append(make([]Entry, 0, order+1), n.entries[mid:]...), next: n.next}
+		n.entries = append(make([]Entry, 0, mid), n.entries[:mid]...)
 		n.next = right
 		return right, right.entries[0].Key
 	}
@@ -122,12 +126,12 @@ func (t *Tree) insert(n *node, key int64, tid storage.TID) (*node, int64) {
 	}
 	mid := len(n.keys) / 2
 	right := &node{
-		keys:     append([]int64(nil), n.keys[mid+1:]...),
-		children: append([]*node(nil), n.children[mid+1:]...),
+		keys:     append(make([]int64, 0, order+1), n.keys[mid+1:]...),
+		children: append(make([]*node, 0, order+2), n.children[mid+1:]...),
 	}
 	sk := n.keys[mid]
-	n.keys = n.keys[:mid]
-	n.children = n.children[:mid+1]
+	n.keys = append(make([]int64, 0, mid), n.keys[:mid]...)
+	n.children = append(make([]*node, 0, mid+1), n.children[:mid+1]...)
 	return right, sk
 }
 

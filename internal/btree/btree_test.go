@@ -337,3 +337,26 @@ func TestDeleteAllThenReinsert(t *testing.T) {
 		t.Fatal("reinsert after full delete broken")
 	}
 }
+
+// TestSplitReleasesOversizedNodes: a split must leave neither half in the
+// grown pre-split array. After an ascending load — how the benchmark
+// tables' indexes are built — the leaves' arrays hold their entries with
+// no more slack than the last leaf's room to grow.
+func TestSplitReleasesOversizedNodes(t *testing.T) {
+	tr := New(nil)
+	const n = 20 * order
+	for k := 0; k < n; k++ {
+		tr.Insert(int64(k), storage.TID{})
+	}
+	leaf := tr.root
+	for !leaf.leaf {
+		leaf = leaf.children[0]
+	}
+	capacity := 0
+	for ; leaf != nil; leaf = leaf.next {
+		capacity += cap(leaf.entries)
+	}
+	if capacity > n+order+1 {
+		t.Fatalf("leaves hold %d entries in capacity %d", n, capacity)
+	}
+}

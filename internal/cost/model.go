@@ -144,14 +144,35 @@ type streamInfo struct {
 }
 
 // Annotate recomputes EstCard and EstCost bottom-up over the whole tree.
-// It is the single source of truth for plan costs: the DP, the migration
-// re-costing pass, the exhaustive oracle, and the tests all use it.
+// It is the single source of truth for plan costs: the migration re-costing
+// pass, Robust's corner scoring, the top-k wrap, the LDL and exhaustive
+// planners, and the tests all use it, and AnnotateOver must agree with it
+// bit for bit.
 func (m *Model) Annotate(n plan.Node) error {
-	_, err := m.annotate(n)
+	_, err := m.annotate(n, nil)
 	return err
 }
 
-func (m *Model) annotate(n plan.Node) (streamInfo, error) {
+// AnnotateOver is Annotate for a tree built on top of already-annotated
+// subtrees: the recursion stops at every node in trusted and reads its
+// stored EstCard and EstCost instead of recomputing it, so only the nodes
+// above the trusted ones are costed. The System R enumerator uses it to
+// price a join candidate in time independent of the size of its inputs.
+// The result is bitwise equal to Annotate's as long as each trusted node's
+// stored estimates are current — Annotate's own output, or AnnotateOver's
+// under the same rule — and the predicates' selectivities and costs have
+// not changed since.
+func (m *Model) AnnotateOver(n plan.Node, trusted ...plan.Node) error {
+	_, err := m.annotate(n, trusted)
+	return err
+}
+
+func (m *Model) annotate(n plan.Node, trusted []plan.Node) (streamInfo, error) {
+	for _, t := range trusted {
+		if n == t {
+			return streamInfo{card: n.Card(), cost: n.Cost()}, nil
+		}
+	}
 	switch t := n.(type) {
 	case *plan.SeqScan:
 		tab, err := m.Cat.Table(t.Table)
@@ -199,7 +220,7 @@ func (m *Model) annotate(n plan.Node) (streamInfo, error) {
 		return info, nil
 
 	case *plan.Filter:
-		in, err := m.annotate(t.Input)
+		in, err := m.annotate(t.Input, trusted)
 		if err != nil {
 			return streamInfo{}, err
 		}
@@ -209,10 +230,10 @@ func (m *Model) annotate(n plan.Node) (streamInfo, error) {
 		return info, nil
 
 	case *plan.Join:
-		return m.annotateJoin(t)
+		return m.annotateJoin(t, trusted)
 
 	case *plan.TopK:
-		in, err := m.annotate(t.Input)
+		in, err := m.annotate(t.Input, trusted)
 		if err != nil {
 			return streamInfo{}, err
 		}
@@ -228,7 +249,7 @@ func (m *Model) annotate(n plan.Node) (streamInfo, error) {
 		return info, nil
 
 	case *plan.Limit:
-		in, err := m.annotate(t.Input)
+		in, err := m.annotate(t.Input, trusted)
 		if err != nil {
 			return streamInfo{}, err
 		}
@@ -255,12 +276,12 @@ func JoinSel(p *query.Predicate) float64 {
 	return p.Selectivity
 }
 
-func (m *Model) annotateJoin(j *plan.Join) (streamInfo, error) {
-	outer, err := m.annotate(j.Outer)
+func (m *Model) annotateJoin(j *plan.Join, trusted []plan.Node) (streamInfo, error) {
+	outer, err := m.annotate(j.Outer, trusted)
 	if err != nil {
 		return streamInfo{}, err
 	}
-	inner, err := m.annotate(j.Inner)
+	inner, err := m.annotate(j.Inner, trusted)
 	if err != nil {
 		return streamInfo{}, err
 	}

@@ -115,6 +115,38 @@ func TestAnnotateFilter(t *testing.T) {
 	}
 }
 
+// TestAnnotateOverTrustsStoredEstimates: AnnotateOver costs only the nodes
+// above its trusted ones, reading their stored estimates — it never
+// descends into them — and agrees with Annotate when those are current.
+func TestAnnotateOverTrustsStoredEstimates(t *testing.T) {
+	cat := testCatalog(t)
+	m := NewModel(cat, false)
+	p := funcPred(t, cat, "costly100", "s", "u20")
+	in := &plan.Filter{Input: scan(cat, t, "s"), Pred: p}
+	j := &plan.Join{Method: plan.HashJoin, Outer: scan(cat, t, "r"), Inner: in,
+		Primary: joinPred(t, cat, "r", "a1", "s", "a1")}
+	if err := m.Annotate(j); err != nil {
+		t.Fatal(err)
+	}
+	full := *j
+	if err := m.AnnotateOver(j, j.Outer, in); err != nil {
+		t.Fatal(err)
+	}
+	if j.EstCard != full.EstCard || j.EstCost != full.EstCost {
+		t.Fatalf("AnnotateOver over current inputs = (%v, %v), Annotate = (%v, %v)",
+			j.EstCard, j.EstCost, full.EstCard, full.EstCost)
+	}
+	// A trusted node's stored estimates are read, not recomputed.
+	in.EstCard, in.EstCost = 1, 1e6
+	if err := m.AnnotateOver(j, j.Outer, in); err != nil {
+		t.Fatal(err)
+	}
+	if in.EstCard != 1 || in.EstCost != 1e6 || j.EstCost <= 1e6 {
+		t.Fatalf("trusted inner was recomputed or ignored: inner (%v, %v), join cost %v",
+			in.EstCard, in.EstCost, j.EstCost)
+	}
+}
+
 func TestFilterInvocationsCachingCap(t *testing.T) {
 	cat := testCatalog(t)
 	p := funcPred(t, cat, "costly100", "s", "u20") // 500 distinct values

@@ -70,10 +70,11 @@ func (m *Model) JoinInputStats(j *plan.Join) (outer, inner InputStats) {
 		s := j.Primary.Selectivity
 		dl := math.Min(m.distinctOf(j.Primary.Left), R)
 		dr := math.Min(m.distinctOf(j.Primary.Right), S)
-		// Left/Right orientation: whichever side belongs to the outer stream.
-		outerTables := plan.Tables(j.Outer)
+		// Left/Right orientation: whichever side belongs to the outer
+		// stream. A primary join predicate has one side in each input, so
+		// looking in the (small) inner subtree decides it.
 		lv, rv := dl, dr
-		if !outerTables[j.Primary.Left.Table] {
+		if plan.HasTable(j.Inner, j.Primary.Left.Table) {
 			lv, rv = dr, dl
 		}
 		outer.Sel = math.Min(1, s*rv)

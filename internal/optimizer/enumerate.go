@@ -44,6 +44,11 @@ func (o *Optimizer) orderedPlans(q *query.Query, order []int,
 		return o.orderByRank(out, 1e18)
 	}
 
+	g, err := newJoinGraph(q, false)
+	if err != nil {
+		return nil, err
+	}
+
 	// Base table.
 	basePaths, err := o.accessPathsPlace(q, order[0], false)
 	if err != nil {
@@ -71,7 +76,7 @@ func (o *Optimizer) orderedPlans(q *query.Query, order []int,
 		}
 		var next []*subplan
 		for _, op := range cur {
-			conns := connectingPreds(q, op.set, idx)
+			conns := g.connectingPreds(op.set, idx)
 			var eqPreds []*query.Predicate
 			for _, p := range conns {
 				if p.Kind == query.KindJoinCmp && p.Op == expr.OpEQ && !p.IsExpensive() {
@@ -98,6 +103,7 @@ func (o *Optimizer) orderedPlans(q *query.Query, order []int,
 
 			for _, ip := range innerPaths {
 				innerRoot := chainFilters(ip.root, scanLevelOf(innerTable))
+				cols := plan.ConcatCols(op.root, innerRoot)
 				for _, md := range methods {
 					j := &plan.Join{
 						Method:           md.m,
@@ -106,6 +112,7 @@ func (o *Optimizer) orderedPlans(q *query.Query, order []int,
 						Primary:          md.primary,
 						InnerIndexCol:    md.indexCol,
 						ExpensivePrimary: md.primary != nil && md.primary.IsExpensive(),
+						ColRefs:          cols,
 					}
 					var outOrder query.ColRef
 					if md.m == plan.MergeJoin {
@@ -116,7 +123,6 @@ func (o *Optimizer) orderedPlans(q *query.Query, order []int,
 					} else {
 						outOrder = op.order
 					}
-					j.ColRefs = plan.ConcatCols(op.root, innerRoot)
 					var above []*query.Predicate
 					for _, p := range conns {
 						if p != md.primary {

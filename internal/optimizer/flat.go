@@ -6,6 +6,7 @@
 package optimizer
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"predplace/internal/plan"
@@ -120,31 +121,17 @@ func (f *FlatPlan) Tree() plan.Node {
 	return cur
 }
 
-// Clone deep-copies the flat plan's mutable structure (filter slices and
-// steps); access-path nodes and predicates are shared.
-func (f *FlatPlan) Clone() *FlatPlan {
-	out := &FlatPlan{
-		Base:        f.Base,
-		BaseTable:   f.BaseTable,
-		BaseFilters: append([]*query.Predicate(nil), f.BaseFilters...),
-	}
-	for _, s := range f.Steps {
-		cp := *s
-		cp.InnerFilters = append([]*query.Predicate(nil), s.InnerFilters...)
-		cp.AfterFilters = append([]*query.Predicate(nil), s.AfterFilters...)
-		out.Steps = append(out.Steps, &cp)
-	}
-	return out
-}
-
-// signature encodes the plan's predicate placement for cycle detection.
+// signature encodes the plan's predicate placement exactly, for cycle
+// detection and for telling whether a stream pass moved anything: each
+// filter list as its length and its predicates' IDs, all as uvarints (a
+// prefix-free code, so distinct placements never share a signature).
 func (f *FlatPlan) signature() string {
 	var b []byte
 	app := func(preds []*query.Predicate) {
+		b = binary.AppendUvarint(b, uint64(len(preds)))
 		for _, p := range preds {
-			b = append(b, byte(p.ID))
+			b = binary.AppendUvarint(b, uint64(p.ID))
 		}
-		b = append(b, '|')
 	}
 	app(f.BaseFilters)
 	for _, s := range f.Steps {

@@ -12,7 +12,7 @@ import (
 	"predplace/internal/query"
 )
 
-func benchDB(t *testing.T, tables ...int) *datagen.DB {
+func benchDB(t testing.TB, tables ...int) *datagen.DB {
 	t.Helper()
 	db, err := datagen.Build(datagen.Config{Scale: 0.02, Tables: tables})
 	if err != nil {
@@ -22,7 +22,7 @@ func benchDB(t *testing.T, tables ...int) *datagen.DB {
 }
 
 // mkQuery builds and analyzes a query.
-func mkQuery(t *testing.T, db *datagen.DB, tables []string, preds []*query.Predicate) *query.Query {
+func mkQuery(t testing.TB, db *datagen.DB, tables []string, preds []*query.Predicate) *query.Query {
 	t.Helper()
 	q, err := query.NewQuery(tables, preds)
 	if err != nil {
@@ -41,7 +41,7 @@ func jp(lt, lc, rt, rc string) *query.Predicate {
 	}
 }
 
-func fp(t *testing.T, db *datagen.DB, fn string, refs ...query.ColRef) *query.Predicate {
+func fp(t testing.TB, db *datagen.DB, fn string, refs ...query.ColRef) *query.Predicate {
 	t.Helper()
 	f, err := db.Cat.Func(fn)
 	if err != nil {
@@ -57,7 +57,7 @@ func cp(tb, col string, op expr.CmpOp, v int64) *query.Predicate {
 	}
 }
 
-func planWith(t *testing.T, db *datagen.DB, algo Algorithm, q *query.Query) (plan.Node, *Info) {
+func planWith(t testing.TB, db *datagen.DB, algo Algorithm, q *query.Query) (plan.Node, *Info) {
 	t.Helper()
 	opt := New(db.Cat, Options{Algorithm: algo})
 	root, info, err := opt.Plan(q)
@@ -194,5 +194,31 @@ func TestRenderShowsExpensiveFilters(t *testing.T) {
 	out := plan.Render(root)
 	if !strings.Contains(out, "Filter*") || !strings.Contains(out, "costly100") {
 		t.Fatalf("render missing expensive filter:\n%s", out)
+	}
+}
+
+// TestSignatureIsExact: the placement signature must tell apart any two
+// placements — IDs 256 apart, and the same predicate in neighbouring filter
+// lists — or the migration fixpoint can stop on a false cycle and the
+// post-pass can reuse a stale tree.
+func TestSignatureIsExact(t *testing.T) {
+	pred := func(id int) *query.Predicate { return &query.Predicate{ID: id} }
+	flat := func(base, inner, after []*query.Predicate) *FlatPlan {
+		return &FlatPlan{BaseFilters: base, Steps: []*FlatStep{{InnerFilters: inner, AfterFilters: after}}}
+	}
+	p1, p257, p124 := pred(1), pred(257), pred(124)
+	pairs := [][2]*FlatPlan{
+		{flat([]*query.Predicate{p1}, nil, nil), flat([]*query.Predicate{p257}, nil, nil)},
+		{flat([]*query.Predicate{p124}, nil, nil), flat(nil, []*query.Predicate{p124}, nil)},
+		{flat(nil, []*query.Predicate{p124}, nil), flat(nil, nil, []*query.Predicate{p124})},
+		{flat([]*query.Predicate{p1, p257}, nil, nil), flat([]*query.Predicate{p257, p1}, nil, nil)},
+	}
+	for i, pr := range pairs {
+		if pr[0].signature() == pr[1].signature() {
+			t.Errorf("pair %d: distinct placements share the signature %q", i, pr[0].signature())
+		}
+	}
+	if a, b := flat([]*query.Predicate{p257}, nil, nil), flat([]*query.Predicate{p257}, nil, nil); a.signature() != b.signature() {
+		t.Error("equal placements have different signatures")
 	}
 }

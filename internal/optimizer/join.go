@@ -1,39 +1,81 @@
 package optimizer
 
 import (
+	"fmt"
 	"math"
+	"sort"
 
 	"predplace/internal/expr"
 	"predplace/internal/plan"
 	"predplace/internal/query"
 )
 
+// joinGraph is the per-query data the left-deep enumerators consult for
+// every join candidate, computed once per query: each predicate's table
+// bitmask and, when the §4.4 unpruneable retention is on, each expensive
+// predicate's bit in a subplan's buried set.
+type joinGraph struct {
+	q *query.Query
+	// predTables[i] is the bitset of q.Tables indices q.Preds[i] references;
+	// 0 when it references a table outside the query (it never connects).
+	predTables []uint32
+	// buriedBit gives every expensive predicate its own bit, assigned in
+	// ascending ID order; nil when retention is off.
+	buriedBit map[*query.Predicate]uint64
+}
+
+// maxBuried is the number of expensive predicates a buried set can track.
+const maxBuried = 64
+
+// newJoinGraph computes q's join graph. retention assigns buried bits; it
+// fails for a query with more expensive predicates than maxBuried rather
+// than silently dropping the retention for some of them.
+func newJoinGraph(q *query.Query, retention bool) (*joinGraph, error) {
+	g := &joinGraph{q: q, predTables: make([]uint32, len(q.Preds))}
+	for i, p := range q.Preds {
+		var mask uint32
+		for _, t := range p.Tables {
+			ti := tableIndex(q, t)
+			if ti < 0 {
+				mask = 0
+				break
+			}
+			mask |= 1 << uint(ti)
+		}
+		g.predTables[i] = mask
+	}
+	if !retention {
+		return g, nil
+	}
+	var exp []*query.Predicate
+	for _, p := range q.Preds {
+		if p.IsExpensive() {
+			exp = append(exp, p)
+		}
+	}
+	if len(exp) > maxBuried {
+		return nil, fmt.Errorf("optimizer: %d expensive predicates exceed the %d that unpruneable-subplan retention tracks", len(exp), maxBuried)
+	}
+	// Bits in ID order keep prune's tie-break order of buried sets the
+	// order of the predicate IDs they hold.
+	sort.Slice(exp, func(a, b int) bool { return exp[a].ID < exp[b].ID })
+	g.buriedBit = make(map[*query.Predicate]uint64, len(exp))
+	for i, p := range exp {
+		g.buriedBit[p] = 1 << uint(i)
+	}
+	return g, nil
+}
+
 // connectingPreds returns the predicates that span the outer set and the
 // inner table: every referenced table is available in the join, and at least
 // one lives on each side.
-func connectingPreds(q *query.Query, outerSet uint32, innerIdx int) []*query.Predicate {
-	avail := map[string]bool{}
-	outerHas := map[string]bool{}
-	for i, t := range q.Tables {
-		if outerSet&(1<<uint(i)) != 0 {
-			avail[t] = true
-			outerHas[t] = true
-		}
-	}
-	inner := q.Tables[innerIdx]
-	avail[inner] = true
+func (g *joinGraph) connectingPreds(outerSet uint32, innerIdx int) []*query.Predicate {
+	inner := uint32(1) << uint(innerIdx)
+	avail := outerSet | inner
 	var out []*query.Predicate
-	for _, p := range q.Preds {
-		if !p.IsJoin() || !p.CoveredBy(avail) || !p.References(inner) {
-			continue
-		}
-		touchesOuter := false
-		for _, t := range p.Tables {
-			if outerHas[t] {
-				touchesOuter = true
-			}
-		}
-		if touchesOuter {
+	for i, p := range g.q.Preds {
+		m := g.predTables[i]
+		if p.IsJoin() && m&^avail == 0 && m&inner != 0 && m&outerSet != 0 {
 			out = append(out, p)
 		}
 	}
@@ -53,10 +95,10 @@ func tableIndex(q *query.Query, t string) int {
 // joinCandidates builds every join of outer ⋈ inner the methods allow,
 // applying the configured algorithm's pullup policy, and returns annotated
 // subplans.
-func (o *Optimizer) joinCandidates(q *query.Query, outer, inner *subplan) ([]*subplan, error) {
+func (o *Optimizer) joinCandidates(g *joinGraph, outer, inner *subplan) ([]*subplan, error) {
 	innerIdx := bits32(inner.set)
-	conns := connectingPreds(q, outer.set, innerIdx)
-	innerTable := q.Tables[innerIdx]
+	conns := g.connectingPreds(outer.set, innerIdx)
+	innerTable := g.q.Tables[innerIdx]
 
 	// Classify the connecting predicates.
 	var eqPreds []*query.Predicate // cheap equality column-column joins
@@ -91,6 +133,9 @@ func (o *Optimizer) joinCandidates(q *query.Query, outer, inner *subplan) ([]*su
 	nlPrimary := minRankPred(conns)
 	methods = append(methods, method{m: plan.NestLoop, primary: nlPrimary})
 
+	// Every method's join emits the same columns; its nodes share one list,
+	// read-only.
+	cols := plan.ConcatCols(outer.root, inner.root)
 	var out []*subplan
 	for _, md := range methods {
 		var secondaries []*query.Predicate
@@ -99,7 +144,7 @@ func (o *Optimizer) joinCandidates(q *query.Query, outer, inner *subplan) ([]*su
 				secondaries = append(secondaries, p)
 			}
 		}
-		sp, err := o.buildJoin(q, outer, inner, md.m, md.primary, md.indexCol, secondaries)
+		sp, err := o.buildJoin(g, outer, inner, cols, md.m, md.primary, md.indexCol, secondaries)
 		if err != nil {
 			return nil, err
 		}
@@ -142,20 +187,23 @@ func bits32(set uint32) int {
 
 // buildJoin constructs one candidate join with the algorithm's pullup policy
 // and returns its annotated subplan (nil when the combination is invalid).
-func (o *Optimizer) buildJoin(q *query.Query, outer, inner *subplan,
+// Only the candidate's new nodes are costed: the join, any re-chained input
+// filters and the filters above it. The inputs' subtrees keep the estimates
+// the DP stored when it built them (AnnotateOver; DESIGN.md §20).
+func (o *Optimizer) buildJoin(g *joinGraph, outer, inner *subplan, cols []query.ColRef,
 	m plan.JoinMethod, primary *query.Predicate, indexCol string,
 	secondaries []*query.Predicate) (*subplan, error) {
 
-	outerChainF, outerBase := plan.TopFilters(outer.root)
-	innerChainF, innerBase := plan.TopFilters(inner.root)
-	outerChain := bottomFirst(outerChainF)
-	innerChain := bottomFirst(innerChainF)
-
-	// Tentative join with children as-is, to measure per-input ranks with
-	// plan-time cardinalities (§5.2).
+	// mk builds the join over the inputs with the given selections kept
+	// below it; an input keeping its whole chain is reused as it is.
 	mk := func(oPreds, iPreds []*query.Predicate) (*plan.Join, error) {
-		on := chainFilters(outerBase, oPreds)
-		in := chainFilters(innerBase, iPreds)
+		on, in := outer.root, inner.root
+		if len(oPreds) != len(outer.chain) {
+			on = chainFilters(outer.base, oPreds)
+		}
+		if len(iPreds) != len(inner.chain) {
+			in = chainFilters(inner.base, iPreds)
+		}
 		j := &plan.Join{
 			Method:           m,
 			Outer:            on,
@@ -163,32 +211,30 @@ func (o *Optimizer) buildJoin(q *query.Query, outer, inner *subplan,
 			Primary:          primary,
 			InnerIndexCol:    indexCol,
 			ExpensivePrimary: primary != nil && primary.IsExpensive(),
+			ColRefs:          cols,
 		}
 		if m == plan.MergeJoin {
-			innerTable := q.Tables[bits32(inner.set)]
+			innerTable := g.q.Tables[bits32(inner.set)]
 			innerRef, outerRef := sides(primary, innerTable)
 			j.SortOuter = outer.order != outerRef
 			j.SortInner = inner.order != innerRef
 		}
-		j.ColRefs = plan.ConcatCols(on, in)
-		if err := o.model.Annotate(j); err != nil {
+		if err := o.model.AnnotateOver(j, outer.root, outer.base, inner.root, inner.base); err != nil {
 			return nil, err
 		}
 		return j, nil
 	}
 
-	tentative, err := mk(outerChain, innerChain)
+	hoistOut, hoistIn, j, err := o.chooseHoists(mk, outer, inner)
 	if err != nil {
 		return nil, nil //nolint:nilerr // invalid method/shape combination: skip candidate
 	}
-
-	hoistOut, hoistIn := o.chooseHoists(tentative, outerChain, innerChain, outer.card, inner.card)
-
-	keepOut := subtract(outerChain, hoistOut)
-	keepIn := subtract(innerChain, hoistIn)
-	j, err := mk(keepOut, keepIn)
-	if err != nil {
-		return nil, nil //nolint:nilerr
+	keepOut := subtract(outer.chain, hoistOut)
+	keepIn := subtract(inner.chain, hoistIn)
+	if j == nil || len(hoistOut)+len(hoistIn) > 0 {
+		if j, err = mk(keepOut, keepIn); err != nil {
+			return nil, nil //nolint:nilerr
+		}
 	}
 
 	// Everything above the join: secondaries plus hoisted selections, in
@@ -197,7 +243,7 @@ func (o *Optimizer) buildJoin(q *query.Query, outer, inner *subplan,
 	above = append(above, hoistIn...)
 	above = o.orderByRank(above, j.EstCard)
 	root := chainFilters(j, above)
-	if err := o.model.Annotate(root); err != nil {
+	if err := o.model.AnnotateOver(root, j); err != nil {
 		return nil, err
 	}
 
@@ -205,7 +251,7 @@ func (o *Optimizer) buildJoin(q *query.Query, outer, inner *subplan,
 	// the outer stream's order.
 	var order query.ColRef
 	if m == plan.MergeJoin {
-		innerTable := q.Tables[bits32(inner.set)]
+		innerTable := g.q.Tables[bits32(inner.set)]
 		_, outerRef := sides(primary, innerTable)
 		order = outerRef
 	} else {
@@ -213,19 +259,19 @@ func (o *Optimizer) buildJoin(q *query.Query, outer, inner *subplan,
 	}
 
 	buried := outer.buried | inner.buried
-	for _, p := range keepOut {
-		if p.IsExpensive() {
-			buried |= 1 << uint(p.ID)
+	if g.buriedBit != nil {
+		for _, p := range keepOut {
+			buried |= g.buriedBit[p]
 		}
-	}
-	for _, p := range keepIn {
-		if p.IsExpensive() {
-			buried |= 1 << uint(p.ID)
+		for _, p := range keepIn {
+			buried |= g.buriedBit[p]
 		}
 	}
 
 	return &subplan{
 		root:   root,
+		base:   j,
+		chain:  above,
 		set:    outer.set | inner.set,
 		order:  order,
 		cost:   root.Cost(),
@@ -236,29 +282,37 @@ func (o *Optimizer) buildJoin(q *query.Query, outer, inner *subplan,
 
 // chooseHoists decides which expensive selections to pull above the join,
 // per the configured algorithm. Inner pullup is decided first (§5.2).
-func (o *Optimizer) chooseHoists(j *plan.Join, outerChain, innerChain []*query.Predicate,
-	outerCard, innerCard float64) (hoistOut, hoistIn []*query.Predicate) {
+// PullRank and Migration compare each selection's rank with the join's
+// per-input ranks, measured on the tentative join mk builds with both
+// chains kept below it; that join is returned so the caller can reuse it
+// when nothing is hoisted. The other algorithms never build it.
+func (o *Optimizer) chooseHoists(mk func(oPreds, iPreds []*query.Predicate) (*plan.Join, error),
+	outer, inner *subplan) (hoistOut, hoistIn []*query.Predicate, tentative *plan.Join, err error) {
 
 	switch o.opts.Algorithm {
 	case NaivePushDown, PushDown:
-		return nil, nil
+		return nil, nil, nil, nil
 	case PullUp:
-		return expensiveOf(outerChain), expensiveOf(innerChain)
+		return expensiveOf(outer.chain), expensiveOf(inner.chain), nil, nil
 	default: // PullRank, Migration
-		os, is := o.model.JoinInputStats(j)
+		tentative, err = mk(outer.chain, inner.chain)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		os, is := o.model.JoinInputStats(tentative)
 		innerRank := is.Rank()
-		for _, p := range expensiveOf(innerChain) {
-			if o.selRank(p, innerCard) > innerRank {
+		for _, p := range expensiveOf(inner.chain) {
+			if o.selRank(p, inner.card) > innerRank {
 				hoistIn = append(hoistIn, p)
 			}
 		}
 		outerRank := os.Rank()
-		for _, p := range expensiveOf(outerChain) {
-			if o.selRank(p, outerCard) > outerRank {
+		for _, p := range expensiveOf(outer.chain) {
+			if o.selRank(p, outer.card) > outerRank {
 				hoistOut = append(hoistOut, p)
 			}
 		}
-		return hoistOut, hoistIn
+		return hoistOut, hoistIn, tentative, nil
 	}
 }
 

@@ -24,19 +24,18 @@ func (o *Optimizer) migrate(root plan.Node) (plan.Node, int, error) {
 	// converging (the cross-stream interdependency of §6). We detect cycles
 	// by placement signature and keep the cheapest plan seen.
 	seen := map[string]bool{}
-	var best *FlatPlan
-	bestCost := 0.0
-	record := func() (float64, error) {
-		tree := f.Tree()
-		if err := o.model.Annotate(tree); err != nil {
-			return 0, err
+	var tc treeCache
+	var best plan.Node
+	record := func() error {
+		if err := o.refresh(f, &tc); err != nil {
+			return err
 		}
-		if best == nil || tree.Cost() < bestCost {
-			best, bestCost = f.Clone(), tree.Cost()
+		if best == nil || tc.tree.Cost() < best.Cost() {
+			best = tc.tree
 		}
-		return tree.Cost(), nil
+		return nil
 	}
-	if _, err := record(); err != nil {
+	if err := record(); err != nil {
 		return nil, 0, err
 	}
 	for iter := 0; iter < o.opts.MaxMigrationPasses; iter++ {
@@ -44,27 +43,48 @@ func (o *Optimizer) migrate(root plan.Node) (plan.Node, int, error) {
 		// Streams: k = len(Steps) … 1 are the inner streams (entering step
 		// k-1 from the inner side); k = 0 is the spine.
 		for k := len(f.Steps); k >= 0; k-- {
-			ch, err := o.migrateStream(f, k)
+			ch, err := o.migrateStream(f, k, &tc)
 			if err != nil {
 				return nil, passes, err
 			}
 			changed = changed || ch
 			passes++
 		}
-		if _, err := record(); err != nil {
+		if err := record(); err != nil {
 			return nil, passes, err
 		}
-		sig := f.signature()
-		if !changed || seen[sig] {
+		if !changed || seen[tc.sig] {
 			break
 		}
-		seen[sig] = true
+		seen[tc.sig] = true
 	}
-	tree := best.Tree()
+	return best, passes, nil
+}
+
+// treeCache holds the annotated tree of a flat plan's placement, keyed by
+// the placement's signature.
+type treeCache struct {
+	sig   string
+	tree  plan.Node
+	joins []*plan.Join // tree's join nodes in step order
+}
+
+// refresh makes tc hold f's plan tree with fresh estimates. It rebuilds and
+// re-annotates the tree only when f's placement signature differs from the
+// cached one: a stream pass that moved nothing leaves the tree, and so
+// every estimate the next pass reads, exactly as it was. A tree is never
+// modified once cached, so a caller may keep one.
+func (o *Optimizer) refresh(f *FlatPlan, tc *treeCache) error {
+	sig := f.signature()
+	if tc.tree != nil && sig == tc.sig {
+		return nil
+	}
+	tree := f.Tree()
 	if err := o.model.Annotate(tree); err != nil {
-		return nil, passes, err
+		return err
 	}
-	return tree, passes, nil
+	tc.sig, tc.tree, tc.joins = sig, tree, joinNodes(tree)
+	return nil
 }
 
 // moduleGroup is a maximal run of join modules composed because they were
@@ -111,30 +131,12 @@ func groupModules(mods []cost.Module, firstStep int) []moduleGroup {
 // join's effective rank, which can trigger further grouping and justify
 // pulling other selections over the whole group. The pinning loop iterates
 // to fixpoint before the remaining selections are placed.
-func (o *Optimizer) migrateStream(f *FlatPlan, k int) (bool, error) {
+func (o *Optimizer) migrateStream(f *FlatPlan, k int, tc *treeCache) (bool, error) {
 	startStep := 0
 	innerEntry := false
 	if k >= 1 {
 		startStep = k - 1
 		innerEntry = true
-	}
-
-	tree := f.Tree()
-	if err := o.model.Annotate(tree); err != nil {
-		return false, err
-	}
-	joins := joinNodes(tree)
-
-	// Fixed join modules of this stream, with per-input stats (§3.2).
-	nSteps := len(f.Steps) - startStep
-	baseMods := make([]cost.Module, 0, nSteps)
-	for i := startStep; i < len(f.Steps); i++ {
-		os, is := o.model.JoinInputStats(joins[i])
-		st := os
-		if innerEntry && i == startStep {
-			st = is
-		}
-		baseMods = append(baseMods, st.Module())
 	}
 
 	// Leaf info for gap-0 eligibility and caching-aware selection ranks.
@@ -143,10 +145,6 @@ func (o *Optimizer) migrateStream(f *FlatPlan, k int) (bool, error) {
 		leafTable = f.Steps[startStep].InnerTable
 	} else {
 		leafTable = f.BaseTable
-	}
-	leafCard := 1.0
-	if tab, err := o.cat.Table(leafTable); err == nil {
-		leafCard = float64(tab.Card)
 	}
 
 	// Collect the movable selections on this stream with current positions
@@ -174,20 +172,41 @@ func (o *Optimizer) migrateStream(f *FlatPlan, k int) (bool, error) {
 		return false, nil
 	}
 
-	// homeStepOf returns the lowest step a selection must stay above on this
+	// homes[i] is the lowest step movable[i] must stay above on this
 	// stream, or -1 when it may sit at gap 0 (homed on the stream's leaf).
-	homeStepOf := func(p *query.Predicate) (int, error) {
+	homes := make([]int, len(movable))
+	for i, pl := range movable {
+		p := pl.pred
 		if len(p.Tables) == 1 && p.Tables[0] == leafTable {
-			return -1, nil
+			homes[i] = -1
+			continue
 		}
 		home, ok := f.homeStep(p)
 		if !ok {
-			return 0, errBadPred(p)
+			return false, errBadPred(p)
 		}
-		if home < startStep {
-			home = startStep
+		homes[i] = max(home, startStep)
+	}
+
+	if err := o.refresh(f, tc); err != nil {
+		return false, err
+	}
+
+	// Fixed join modules of this stream, with per-input stats (§3.2).
+	nSteps := len(f.Steps) - startStep
+	baseMods := make([]cost.Module, 0, nSteps)
+	for i := startStep; i < len(f.Steps); i++ {
+		os, is := o.model.JoinInputStats(tc.joins[i])
+		st := os
+		if innerEntry && i == startStep {
+			st = is
 		}
-		return home, nil
+		baseMods = append(baseMods, st.Module())
+	}
+
+	leafCard := 1.0
+	if tab, err := o.cat.Table(leafTable); err == nil {
+		leafCard = float64(tab.Card)
 	}
 
 	// Pinning loop: compose stuck selections into their home modules.
@@ -216,15 +235,12 @@ func (o *Optimizer) migrateStream(f *FlatPlan, k int) (bool, error) {
 		groups = groupModules(aug, startStep)
 
 		newPins := false
-		for _, pl := range movable {
+		for i, pl := range movable {
 			p := pl.pred
 			if _, done := pinStep[p]; done {
 				continue
 			}
-			home, err := homeStepOf(p)
-			if err != nil {
-				return false, err
-			}
+			home := homes[i]
 			if home < 0 {
 				continue // leaf-homed: gap 0 always legal, never stuck
 			}
@@ -248,10 +264,7 @@ func (o *Optimizer) migrateStream(f *FlatPlan, k int) (bool, error) {
 			assign[i] = placed{pred: p, pos: s}
 			continue
 		}
-		home, err := homeStepOf(p)
-		if err != nil {
-			return false, err
-		}
+		home := homes[i]
 		g := desiredGap(groups, o.selRank(p, leafCard))
 		if home >= 0 {
 			if min := gapAfterStep(groups, home); g < min {

@@ -1,8 +1,10 @@
 package optimizer
 
 import (
+	"strings"
 	"testing"
 
+	"predplace/internal/expr"
 	"predplace/internal/plan"
 	"predplace/internal/query"
 )
@@ -177,4 +179,63 @@ func TestMigrateNeverIncreasesCost(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestUnpruneableRetentionIndependentOfPredicateIDs plans the same 3-way
+// join twice: once with its two expensive selections first in the WHERE
+// clause (low predicate IDs) and once after 70 cheap always-true conjuncts
+// (IDs ≥ 70). The §4.4 retention must keep the same unpruneable subplans
+// either way; a buried set keyed by raw predicate ID loses every bit past
+// 63 and silently turns the retention off.
+func TestUnpruneableRetentionIndependentOfPredicateIDs(t *testing.T) {
+	db := benchDB(t, 3, 9, 10)
+	build := func(expensiveFirst bool) *query.Query {
+		var cheap []*query.Predicate
+		for k := int64(1); k <= 70; k++ {
+			cheap = append(cheap, cp("t10", "a10", expr.OpGE, -k))
+		}
+		rest := []*query.Predicate{
+			jp("t3", "ua1", "t10", "ua1"),
+			jp("t10", "ua1", "t9", "ua1"),
+			fp(t, db, "costly100", query.ColRef{Table: "t3", Col: "u20"}),
+			fp(t, db, "costly1", query.ColRef{Table: "t9", Col: "u10"}),
+		}
+		preds := append(cheap, rest...)
+		if expensiveFirst {
+			preds = append(rest, cheap...)
+		}
+		return mkQuery(t, db, []string{"t3", "t10", "t9"}, preds)
+	}
+	_, low := planWith(t, db, Migration, build(true))
+	_, high := planWith(t, db, Migration, build(false))
+	if low.UnpruneableRetained == 0 {
+		t.Fatal("expected unpruneable subplans with low predicate IDs")
+	}
+	if high.UnpruneableRetained != low.UnpruneableRetained {
+		t.Fatalf("UnpruneableRetained = %d with expensive predicate IDs ≥ 64, %d with low IDs",
+			high.UnpruneableRetained, low.UnpruneableRetained)
+	}
+}
+
+// TestRetentionRejectsTooManyExpensivePredicates: a buried set tracks at
+// most 64 expensive predicates, so Migration refuses a query with more
+// instead of planning it without the retention; algorithms that do not
+// retain subplans still plan it.
+func TestRetentionRejectsTooManyExpensivePredicates(t *testing.T) {
+	db := benchDB(t, 1, 3)
+	build := func() *query.Query {
+		preds := []*query.Predicate{jp("t1", "ua1", "t3", "ua1")}
+		for i := 0; i < 65; i++ {
+			preds = append(preds, fp(t, db, "costly1", query.ColRef{Table: "t3", Col: "u10"}))
+		}
+		return mkQuery(t, db, []string{"t1", "t3"}, preds)
+	}
+	_, _, err := New(db.Cat, Options{Algorithm: Migration}).Plan(build())
+	if err == nil || !strings.Contains(err.Error(), "65 expensive predicates") {
+		t.Fatalf("Migration with 65 expensive predicates: got %v, want an explicit error", err)
+	}
+	if _, _, err := New(db.Cat, Options{Algorithm: Migration, DisableUnpruneable: true}).Plan(build()); err != nil {
+		t.Fatalf("Migration without retention: %v", err)
+	}
+	planWith(t, db, PullRank, build())
 }

@@ -181,26 +181,8 @@ func (o *Optimizer) Model() *cost.Model { return o.model }
 // estimates) and planning diagnostics.
 func (o *Optimizer) Plan(q *query.Query) (plan.Node, *Info, error) {
 	start := time.Now()
-	if err := query.Analyze(o.cat, q); err != nil {
+	if err := o.prepare(q); err != nil {
 		return nil, nil, err
-	}
-	if o.opts.Feedback {
-		query.ApplyFeedback(o.cat.Feedback(), q)
-	}
-	if len(q.Tables) == 0 {
-		return nil, nil, fmt.Errorf("optimizer: query has no tables")
-	}
-	// Predicate transfer: estimate the filters once per query and plan the
-	// whole search under the adjusted scans. The prepass's own cost is added
-	// to the plan total below, never inside the recursive annotation — the
-	// prepass runs once, not once per candidate subtree.
-	o.model.Transfer = nil
-	if o.opts.Transfer {
-		ti, err := cost.ComputeTransfer(o.cat, q, o.opts.Caching)
-		if err != nil {
-			return nil, nil, err
-		}
-		o.model.Transfer = ti
 	}
 	var (
 		root plan.Node
@@ -238,6 +220,7 @@ func (o *Optimizer) Plan(q *query.Query) (plan.Node, *Info, error) {
 			}
 		}
 	}
+	plan.ShareCols(root)
 	info.Algorithm = o.opts.Algorithm
 	info.Elapsed = time.Since(start)
 	info.EstCost = root.Cost()
@@ -248,6 +231,34 @@ func (o *Optimizer) Plan(q *query.Query) (plan.Node, *Info, error) {
 		info.EstCost += ti.PrepassCost
 	}
 	return root, info, nil
+}
+
+// prepare readies q and the cost model for planning: it fills in the
+// predicates' selectivities and costs (with feedback overrides when
+// enabled) and, with transfer on, the transfer-adjusted scan estimates.
+func (o *Optimizer) prepare(q *query.Query) error {
+	if err := query.Analyze(o.cat, q); err != nil {
+		return err
+	}
+	if o.opts.Feedback {
+		query.ApplyFeedback(o.cat.Feedback(), q)
+	}
+	if len(q.Tables) == 0 {
+		return fmt.Errorf("optimizer: query has no tables")
+	}
+	// Predicate transfer: estimate the filters once per query and plan the
+	// whole search under the adjusted scans. The prepass's own cost is added
+	// to the plan total in Plan, never inside the recursive annotation — the
+	// prepass runs once, not once per candidate subtree.
+	o.model.Transfer = nil
+	if o.opts.Transfer {
+		ti, err := cost.ComputeTransfer(o.cat, q, o.opts.Caching)
+		if err != nil {
+			return err
+		}
+		o.model.Transfer = ti
+	}
+	return nil
 }
 
 // selRank orders selections by the rank metric: (selectivity−1)/cost, with

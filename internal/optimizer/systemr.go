@@ -14,35 +14,55 @@ import (
 
 // subplan is one retained entry of the dynamic-programming table.
 type subplan struct {
-	root  plan.Node
+	root plan.Node
+	// base and chain split root into its top Filter chain (bottom first)
+	// and the node beneath it — what plan.TopFilters would find — for the
+	// subplans the System R enumerator builds; joins re-chain their inputs
+	// from them without walking the tree.
+	base  plan.Node
+	chain []*query.Predicate
 	set   uint32       // bitset of q.Tables indices
 	order query.ColRef // output ordering column (zero value = unordered)
 	cost  float64
 	card  float64
 	// buried marks expensive predicates sitting below some join in this
 	// subplan — the paper's "unpruneable" condition: PullRank declined a
-	// pullup, so Predicate Migration must see this subplan later.
+	// pullup, so Predicate Migration must see this subplan later. Each
+	// expensive predicate has its own bit (joinGraph.buriedBit); it is
+	// tracked only while the §4.4 retention is on.
 	buried uint64
 }
-
-func (s *subplan) unpruneable() bool { return s.buried != 0 }
 
 // planSystemR runs the left-deep System R enumeration with the configured
 // placement algorithm.
 func (o *Optimizer) planSystemR(q *query.Query) (plan.Node, *Info, error) {
+	_, finalists, info, err := o.enumerate(q)
+	if err != nil {
+		return nil, nil, err
+	}
+	root, err := o.finalize(q, finalists, info)
+	return root, info, err
+}
+
+// enumerate runs the System R dynamic program and returns its table of
+// retained subplans by table set, the finalists handed to finalize, and the
+// enumeration's diagnostics.
+func (o *Optimizer) enumerate(q *query.Query) (map[uint32][]*subplan, []*subplan, *Info, error) {
 	n := len(q.Tables)
 	if n > 12 {
-		return nil, nil, fmt.Errorf("optimizer: %d-way join exceeds the System R enumerator's limit", n)
+		return nil, nil, nil, fmt.Errorf("optimizer: %d-way join exceeds the System R enumerator's limit", n)
 	}
 	info := &Info{}
 
 	base := make([][]*subplan, n)
+	table := make(map[uint32][]*subplan)
 	for i := range q.Tables {
 		sps, err := o.accessPaths(q, i)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		base[i] = sps
+		table[1<<uint(i)] = sps
 	}
 
 	if n == 1 {
@@ -54,13 +74,12 @@ func (o *Optimizer) planSystemR(q *query.Query) (plan.Node, *Info, error) {
 			// an early-terminating Limit prices it.
 			finalists = base[0]
 		}
-		root, err := o.finalize(q, finalists, info)
-		return root, info, err
+		return table, finalists, info, nil
 	}
 
-	table := make(map[uint32][]*subplan)
-	for i := range q.Tables {
-		table[1<<uint(i)] = base[i]
+	g, err := newJoinGraph(q, o.retention())
+	if err != nil {
+		return nil, nil, nil, err
 	}
 	full := uint32(1)<<uint(n) - 1
 	for mask := uint32(1); mask <= full; mask++ {
@@ -77,9 +96,9 @@ func (o *Optimizer) planSystemR(q *query.Query) (plan.Node, *Info, error) {
 			outerMask := mask &^ bit
 			for _, op := range table[outerMask] {
 				for _, ip := range base[i] {
-					cs, err := o.joinCandidates(q, op, ip)
+					cs, err := o.joinCandidates(g, op, ip)
 					if err != nil {
-						return nil, nil, err
+						return nil, nil, nil, err
 					}
 					cands = append(cands, cs...)
 				}
@@ -92,8 +111,12 @@ func (o *Optimizer) planSystemR(q *query.Query) (plan.Node, *Info, error) {
 	for _, sps := range table {
 		info.PlansRetained += len(sps)
 	}
-	root, err := o.finalize(q, table[full], info)
-	return root, info, err
+	return table, table[full], info, nil
+}
+
+// retention reports whether the DP keeps unpruneable subplans (§4.4).
+func (o *Optimizer) retention() bool {
+	return o.opts.Algorithm == Migration && !o.opts.DisableUnpruneable
 }
 
 // finalize applies the Predicate Migration post-pass (when selected) to every
@@ -162,10 +185,7 @@ func (o *Optimizer) prune(cands []*subplan) (kept []*subplan, unpr int) {
 	}
 	bestBy := map[key]*subplan{}
 	for _, sp := range cands {
-		k := key{order: sp.order}
-		if o.opts.Algorithm == Migration && !o.opts.DisableUnpruneable {
-			k.buried = sp.buried
-		}
+		k := key{order: sp.order, buried: sp.buried}
 		if cur, ok := bestBy[k]; !ok || sp.cost < cur.cost {
 			bestBy[k] = sp
 		}
@@ -246,6 +266,8 @@ func (o *Optimizer) accessPathsPlace(q *query.Query, i int, withExpensive bool) 
 		}
 		return &subplan{
 			root:  root,
+			base:  baseNode,
+			chain: preds,
 			set:   1 << uint(i),
 			order: order,
 			cost:  root.Cost(),

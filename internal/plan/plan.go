@@ -226,6 +226,34 @@ func ConcatCols(outer, inner Node) []query.ColRef {
 	return out
 }
 
+// ShareCols makes every join and scan below n hold its column list as a
+// sub-slice of n's own list, so a finished plan keeps one list instead of
+// one per node (what a plan cache retains per entry). A join's columns are
+// its outer's followed by its inner's, so each node's list is a contiguous
+// range of the root's; the contents do not change. Each sub-slice's
+// capacity ends at its length, so an append copies rather than overwrites.
+func ShareCols(n Node) {
+	shareCols(n, n.Cols())
+}
+
+func shareCols(n Node, cols []query.ColRef) {
+	switch t := n.(type) {
+	case *SeqScan:
+		t.ColRefs = cols
+	case *IndexScan:
+		t.ColRefs = cols
+	case *Join:
+		k := len(t.Outer.Cols())
+		t.ColRefs = cols
+		shareCols(t.Outer, cols[:k:k])
+		shareCols(t.Inner, cols[k:])
+	default: // Filter, TopK, Limit: their input's columns
+		for _, c := range n.Children() {
+			shareCols(c, cols)
+		}
+	}
+}
+
 // ColIndex locates a column in a node's output, or -1.
 func ColIndex(n Node, ref query.ColRef) int {
 	for i, c := range n.Cols() {
@@ -351,6 +379,27 @@ func Tables(n Node) map[string]bool {
 	}
 	walk(n)
 	return out
+}
+
+// HasTable reports whether the subtree scans base table t (Tables without
+// building the set).
+func HasTable(n Node, t string) bool {
+	switch s := n.(type) {
+	case *SeqScan:
+		return s.Table == t
+	case *IndexScan:
+		return s.Table == t
+	case *Filter:
+		return HasTable(s.Input, t)
+	case *Join:
+		return HasTable(s.Outer, t) || HasTable(s.Inner, t)
+	}
+	for _, c := range n.Children() {
+		if HasTable(c, t) {
+			return true
+		}
+	}
+	return false
 }
 
 // CollectFilters returns every Filter node in the subtree.

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -54,6 +55,34 @@ func TestColsAndConcat(t *testing.T) {
 	}
 	if ColIndex(j, query.ColRef{Table: "x", Col: "y"}) != -1 {
 		t.Fatal("missing col should be -1")
+	}
+}
+
+// TestShareCols: after ShareCols every node exposes the same columns as
+// before, held as a capacity-clipped range of the root's list.
+func TestShareCols(t *testing.T) {
+	j, f, r, s := testTree()
+	outer := &Join{Method: NestLoop, Outer: j, Inner: &SeqScan{Table: "u", ColRefs: cols("u", "a")}}
+	outer.ColRefs = ConcatCols(j, outer.Inner)
+	root := &TopK{Input: outer, K: 1, Key: query.ColRef{Table: "u", Col: "a"}}
+	nodes := []Node{root, outer, j, f, r, s, outer.Inner}
+	before := make([][]query.ColRef, len(nodes))
+	for i, n := range nodes {
+		before[i] = append([]query.ColRef(nil), n.Cols()...)
+	}
+	ShareCols(root)
+	all := root.Cols()
+	for i, n := range nodes {
+		got := n.Cols()
+		if !slices.Equal(got, before[i]) {
+			t.Fatalf("%s: columns %v, want %v", n.Describe(), got, before[i])
+		}
+		if cap(got) != len(got) {
+			t.Fatalf("%s: capacity %d beyond its %d columns", n.Describe(), cap(got), len(got))
+		}
+	}
+	if &s.ColRefs[0] != &all[2] || &r.ColRefs[0] != &all[0] {
+		t.Fatal("scans do not share the root's column list")
 	}
 }
 

@@ -81,17 +81,6 @@ func (p *Predicate) References(t string) bool {
 	return false
 }
 
-// CoveredBy reports whether every table the predicate references is in the
-// given set.
-func (p *Predicate) CoveredBy(set map[string]bool) bool {
-	for _, x := range p.Tables {
-		if !set[x] {
-			return false
-		}
-	}
-	return true
-}
-
 // String renders the predicate as SQL-ish text.
 func (p *Predicate) String() string {
 	switch p.Kind {

@@ -175,12 +175,6 @@ func TestQueryHelpers(t *testing.T) {
 	if !q.HasExpensivePreds() {
 		t.Fatal("query has costly100")
 	}
-	if !q.Preds[0].CoveredBy(map[string]bool{"r": true, "s": true}) {
-		t.Fatal("CoveredBy full set")
-	}
-	if q.Preds[0].CoveredBy(map[string]bool{"r": true}) {
-		t.Fatal("CoveredBy partial set should be false")
-	}
 }
 
 func TestPredicateString(t *testing.T) {

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"container/list"
+	"errors"
 	"fmt"
 	"sync"
 )
@@ -15,7 +16,10 @@ import (
 // (file, page) key, each with its own lock, frame map, and LRU list, so
 // concurrent sessions fetching different pages rarely contend. A single-shard
 // pool (the default, see NewBufferPool) behaves exactly like the classic
-// global-LRU pool. Concurrent misses on the same page are deduplicated:
+// global-LRU pool. A shard whose frames are all pinned borrows capacity
+// from a sibling with room to spare, so the pool fails a fetch only when
+// every one of its frames is pinned. Concurrent misses on the same page are
+// deduplicated:
 // one goroutine performs the physical read while the rest wait and share
 // the result, so a page is never read (or charged) twice by a race.
 type BufferPool struct {
@@ -184,8 +188,16 @@ func (bp *BufferPool) Fetch(f FileID, p PageID) (*Page, error) {
 			}
 			continue // the frame is now resident (or re-elect a reader)
 		}
+		borrow, err := bp.roomLocked(s)
+		if borrow {
+			s.mu.Unlock()
+			if err := bp.borrow(s); err != nil {
+				return nil, err
+			}
+			continue // s was unlocked while borrowing: look again
+		}
 		s.misses++
-		if err := s.evictLocked(bp.disk); err != nil {
+		if err != nil {
 			s.mu.Unlock()
 			return nil, err
 		}
@@ -212,30 +224,108 @@ func (bp *BufferPool) Fetch(f FileID, p PageID) (*Page, error) {
 	}
 }
 
+// errShardPinned reports that every frame of a shard is pinned.
+var errShardPinned = errors.New("storage: every frame of the shard is pinned")
+
+// roomLocked makes room for one more frame in shard s, whose lock the
+// caller holds. When every frame of s is pinned and the pool has other
+// shards, it reports borrow: the caller must release s's lock, call
+// bp.borrow(s) and, if that succeeds, re-check s's state (another goroutine
+// may have loaded the page meanwhile) before trying again. So a pool fails
+// only when all of its frames are pinned, not when one shard's are.
+func (bp *BufferPool) roomLocked(s *poolShard) (borrow bool, err error) {
+	err = s.evictLocked(bp.disk)
+	if errors.Is(err, errShardPinned) {
+		if len(bp.shards) > 1 {
+			return true, nil
+		}
+		return false, bp.exhausted()
+	}
+	return false, err
+}
+
+// exhausted is the error for a pool whose every frame is pinned.
+func (bp *BufferPool) exhausted() error {
+	return fmt.Errorf("storage: buffer pool exhausted (%d pages, all pinned)", bp.capacity)
+}
+
+// borrow moves one frame of capacity to shard to from a shard that has a
+// free slot or an unpinned frame, evicting that frame (writing it back if
+// dirty); to itself counts, when it gained room meanwhile. The caller holds
+// no shard lock. It locks every shard in index order — a consistent view of
+// the whole pool, and no deadlock with other borrowers — so it returns the
+// exhaustion error only when every frame of the pool was pinned at one
+// instant. Capacities keep summing to the pool's capacity.
+func (bp *BufferPool) borrow(to *poolShard) error {
+	for i := range bp.shards {
+		//pplint:ignore lockbalance every shard is locked once, in index order, and the deferred loop below unlocks each; per-index locks in a loop are outside the analyzer's path model
+		bp.shards[i].mu.Lock()
+	}
+	defer func() {
+		for i := range bp.shards {
+			bp.shards[i].mu.Unlock()
+		}
+	}()
+	if len(to.frames) < to.capacity || to.unpinned() != nil {
+		return nil
+	}
+	for i := range bp.shards {
+		from := &bp.shards[i]
+		if from == to || from.capacity == 0 {
+			continue
+		}
+		if len(from.frames) >= from.capacity {
+			victim := from.unpinned()
+			if victim == nil {
+				continue
+			}
+			if victim.dirty {
+				if err := bp.disk.WritePage(victim.key.file, victim.key.page); err != nil {
+					return err
+				}
+			}
+			from.drop(victim)
+		}
+		from.capacity--
+		to.capacity++
+		return nil
+	}
+	return bp.exhausted()
+}
+
 // evictLocked makes room for one more frame in the shard, writing back a
-// dirty victim. Caller holds the shard lock.
+// dirty victim; errShardPinned when every frame is pinned. Caller holds the
+// shard lock.
 func (s *poolShard) evictLocked(disk *Disk) error {
 	for len(s.frames) >= s.capacity {
-		var victim *frame
-		for e := s.lru.Back(); e != nil; e = e.Prev() {
-			fr := e.Value.(*frame)
-			if fr.pins == 0 {
-				victim = fr
-				break
-			}
-		}
+		victim := s.unpinned()
 		if victim == nil {
-			return fmt.Errorf("storage: buffer pool exhausted (%d pages, all pinned)", s.capacity)
+			return errShardPinned
 		}
 		if victim.dirty {
 			if err := disk.WritePage(victim.key.file, victim.key.page); err != nil {
 				return err
 			}
 		}
-		s.lru.Remove(victim.elem)
-		delete(s.frames, victim.key)
+		s.drop(victim)
 	}
 	return nil
+}
+
+// unpinned returns the shard's least recently used unpinned frame, or nil.
+func (s *poolShard) unpinned() *frame {
+	for e := s.lru.Back(); e != nil; e = e.Prev() {
+		if fr := e.Value.(*frame); fr.pins == 0 {
+			return fr
+		}
+	}
+	return nil
+}
+
+// drop removes a frame from the shard.
+func (s *poolShard) drop(fr *frame) {
+	s.lru.Remove(fr.elem)
+	delete(s.frames, fr.key)
 }
 
 // Unpin releases one pin on page p of file f; dirty marks the page modified.
@@ -263,18 +353,30 @@ func (bp *BufferPool) NewPage(f FileID) (PageID, *Page, error) {
 	}
 	key := frameKey{f, pid}
 	s := bp.shardFor(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.evictLocked(bp.disk); err != nil {
-		return 0, nil, err
+	for {
+		s.mu.Lock()
+		borrow, err := bp.roomLocked(s)
+		if borrow {
+			s.mu.Unlock()
+			if err := bp.borrow(s); err != nil {
+				return 0, nil, err
+			}
+			continue
+		}
+		if err != nil {
+			s.mu.Unlock()
+			return 0, nil, err
+		}
+		// The freshly allocated page is already in the disk's array; register
+		// a frame for it directly without charging a read (it was never on
+		// disk).
+		pg, _ := bp.disk.peek(f, pid)
+		fr := &frame{key: key, pg: pg, pins: 1, dirty: true}
+		fr.elem = s.lru.PushFront(fr)
+		s.frames[key] = fr
+		s.mu.Unlock()
+		return pid, pg, nil
 	}
-	// The freshly allocated page is already in the disk's array; register a
-	// frame for it directly without charging a read (it was never on disk).
-	pg, _ := bp.disk.peek(f, pid)
-	fr := &frame{key: key, pg: pg, pins: 1, dirty: true}
-	fr.elem = s.lru.PushFront(fr)
-	s.frames[key] = fr
-	return pid, pg, nil
 }
 
 // FlushAll writes back every dirty frame and clears the pool.

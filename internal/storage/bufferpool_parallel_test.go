@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -150,5 +151,53 @@ func TestShardedBufferPoolConcurrentScan(t *testing.T) {
 	}
 	if total != 2000 {
 		t.Fatalf("partitioned scans saw %d records, want 2000", total)
+	}
+}
+
+// TestShardedBufferPoolBorrowsFromSiblings pins every frame of one shard
+// and fetches one more page of that shard: the pool still has unpinned
+// frames in its other shard, so the fetch must succeed by borrowing one.
+// Only when every frame of the pool is pinned does a fetch fail, and the
+// error reports the pool's capacity, not the shard's.
+func TestShardedBufferPoolBorrowsFromSiblings(t *testing.T) {
+	d := NewDisk(nil)
+	bp := NewShardedBufferPool(d, 4, 2)
+	f := d.CreateFile()
+	var shard0, shard1 []PageID
+	for len(shard0) < 4 || len(shard1) < 1 {
+		pid, err := d.AllocPage(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pageShard(frameKey{f, pid}, 2) == 0 {
+			shard0 = append(shard0, pid)
+		} else {
+			shard1 = append(shard1, pid)
+		}
+	}
+	// Warm the other shard with an unpinned page, then pin shard 0 full.
+	if _, err := bp.Fetch(f, shard1[0]); err != nil {
+		t.Fatal(err)
+	}
+	bp.Unpin(f, shard1[0], false)
+	for _, pid := range shard0[:3] {
+		if _, err := bp.Fetch(f, pid); err != nil {
+			t.Fatalf("fetch page %d with a free or unpinned frame in the pool: %v", pid, err)
+		}
+	}
+	if got := bp.PinnedFrames(); got != 3 {
+		t.Fatalf("pinned frames = %d, want 3", got)
+	}
+	// All four frames are now pinned.
+	if _, err := bp.Fetch(f, shard1[0]); err != nil {
+		t.Fatal(err)
+	}
+	_, err := bp.Fetch(f, shard0[3])
+	if err == nil || !strings.Contains(err.Error(), "(4 pages, all pinned)") {
+		t.Fatalf("fetch with every frame pinned: got %v, want the pool's exhaustion error", err)
+	}
+	bp.Unpin(f, shard0[0], false)
+	if _, err := bp.Fetch(f, shard0[3]); err != nil {
+		t.Fatalf("fetch after an unpin: %v", err)
 	}
 }

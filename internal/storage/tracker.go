@@ -14,8 +14,9 @@ import (
 // running scan.
 //
 // The tracker replaces both with a per-query simulation: it mirrors the
-// pool's exact replacement geometry (shard hash, per-shard capacities, LRU
-// with pinned-frame skipping) starting from an empty — cold — state, and
+// pool's exact replacement geometry (shard hash, initial per-shard
+// capacities, LRU with pinned-frame skipping) starting from an empty — cold
+// — state, and
 // charges a read into its own Accountant exactly when the page access would
 // have missed in a cold, private pool. Physical page traffic still flows
 // through the shared pool (which may hit where the simulation misses — that
