@@ -1,8 +1,8 @@
 package predplace_test
 
 // Micro-benchmarks isolating the batch executor's hot paths — scan, cheap
-// filter, expensive filter, hash join — at BatchSize 1 (the legacy
-// tuple-at-a-time executor) versus the tuned default. Each sub-benchmark
+// filter, expensive filter, hash join — at BatchSize 1 versus the tuned
+// default. Each sub-benchmark
 // reports allocs/op; the batch rows should show the slab-decode and
 // batched-evaluation savings (EXPERIMENTS.md records the numbers).
 //

@@ -1,8 +1,8 @@
 package predplace_test
 
 // Randomized batch-execution invariant tests: for random queries, plans,
-// and batch widths, the batched executor must be indistinguishable from the
-// legacy tuple-at-a-time executor — identical rows (same order for serial
+// and batch widths, execution at any width must be indistinguishable from
+// width 1 — identical rows (same order for serial
 // execution), identical charged cost, and with caching on identical
 // function-invocation counts (the batched predicate-cache protocol is
 // as-if-sequential). These run under -race in check.sh, so they also vet
@@ -60,7 +60,7 @@ func TestRandomizedBatchAgreementPoolPressure(t *testing.T) {
 	checkBatchAgreement(t, db)
 }
 
-// checkBatchAgreement runs 12 random queries on db tuple-at-a-time and at a
+// checkBatchAgreement runs 12 random queries on db at width 1 and at a
 // random batch width, requiring identical rows in identical order, identical
 // charged cost, and identical invocation counts.
 func checkBatchAgreement(t *testing.T, db *predplace.DB) {
@@ -88,7 +88,7 @@ func checkBatchAgreement(t *testing.T, db *predplace.DB) {
 				t.Fatalf("batch(%d) %v on %q: %v", width, algo, sql, err)
 			}
 
-			// Batched execution must reproduce the legacy run exactly: rows
+			// Batched execution must reproduce the width-1 run exactly: rows
 			// in the same order, same charged cost, same invocations.
 			tupleRows, batchRows := orderedRows(tuple), orderedRows(batch)
 			if len(tupleRows) != len(batchRows) {

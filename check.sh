@@ -40,24 +40,24 @@ echo "==> placement fuzz (FuzzPlacementAgreesWithExhaustive, 20 s)"
 go test -run '^$' -fuzz FuzzPlacementAgreesWithExhaustive -fuzztime 20s ./internal/optimizer
 
 echo "==> batch-executor gate (ppbench -batch)"
-# Runs Queries 1-5 tuple-at-a-time (BatchSize 1, the legacy executor) and
-# batched on one database; exits nonzero if the batched executor's result
-# sets, row order, or charged cost diverge from tuple-at-a-time.
+# Runs Queries 1-5 at width 1 (BatchSize 1) and at the default batch width
+# on one database; exits nonzero if the default-width result sets, row
+# order, or charged cost diverge from width 1.
 go run ./cmd/ppbench -batch -iters 3 -json -scale 0.02
 
 echo "==> pool-pressure gate (ppbench -batch at scale 0.1)"
 # The same gate at scale 0.1, where the default buffer pool (about 1/8 of
 # the data pages) is far below the data size: Query 5's nested-loop inner
 # is rescanned under eviction, so charged cost depends on the order the
-# query touches pages. Tuple and batched runs must still charge exactly the
-# same cost. No -json: BENCH_batch.json keeps the scale-0.02 record.
+# query touches pages. Width-1 and default-width runs must still charge
+# exactly the same cost. No -json: BENCH_batch.json keeps the scale-0.02 record.
 go run ./cmd/ppbench -batch -iters 1 -scale 0.1
 
 echo "==> fault/timeout gate (ppbench -faults)"
 # Runs Queries 1-5 under deterministic injected read faults and aggressive
-# deadlines, tuple-at-a-time and batched; exits nonzero if any run panics,
-# hangs, silently truncates, returns an error not wrapping the injected
-# fault, or leaks pinned frames/goroutines.
+# deadlines, at width 1 and at the default width; exits nonzero if any run
+# panics, hangs, silently truncates, returns an error not wrapping the
+# injected fault, or leaks pinned frames/goroutines.
 go run ./cmd/ppbench -faults -seeds 2 -scale 0.02
 
 echo "==> profiling gate (ppbench -profile)"
@@ -68,16 +68,16 @@ go run ./cmd/ppbench -profile -json -scale 0.02
 
 echo "==> predicate-transfer gate (ppbench -transfer)"
 # Runs the join queries (3-5) with predicate transfer off and on,
-# tuple-at-a-time and batched; exits nonzero if any transfer-on result set
-# diverges from transfer-off, or if a query's batched run charges a
-# different cost than its tuple run (transfer off or on).
+# at width 1 and at the default width; exits nonzero if any transfer-on
+# result set diverges from transfer-off, or if a query's default-width run
+# charges a different cost than its width-1 run (transfer off or on).
 go run ./cmd/ppbench -transfer -iters 3 -json -scale 0.02
 
 echo "==> top-k gate (ppbench -topk)"
 # Runs ORDER BY ... LIMIT k queries with top-k execution off and on,
-# tuple-at-a-time and batched, at k in {1,10,100,1000}; exits nonzero if any
-# top-k-on result diverges row-for-row from top-k-off or the ordered-index
-# flagship at k=10 misses a 2x charged-cost reduction.
+# at width 1 and at the default width, at k in {1,10,100,1000}; exits
+# nonzero if any top-k-on result diverges row-for-row from top-k-off or the
+# ordered-index flagship at k=10 misses a 2x charged-cost reduction.
 go run ./cmd/ppbench -topk -iters 3 -json -scale 0.02
 
 echo "==> multi-session server gate (ppbench -server)"

@@ -17,18 +17,18 @@
 // function invocations × per-call cost — the paper's methodology), reported
 // relative to the best plan per query.
 //
-// With -batch, Queries 1–5 run tuple-at-a-time (BatchSize 1) and batched on
-// the same database (Migration plans, caching off), comparing wall time,
-// allocation counts, exact row order, and charged cost; -json writes
-// BENCH_batch.json. It exits nonzero if the batched executor's results or
+// With -batch, Queries 1–5 run at width 1 (BatchSize 1) and at the default
+// batch width on the same database (Migration plans, caching off), comparing
+// wall time, allocation counts, exact row order, and charged cost; -json
+// writes BENCH_batch.json. It exits nonzero if the two widths' results or
 // charged cost diverge. -iters times each mode best-of-N so
 // millisecond-scale queries are not noise-dominated, and -scales sweeps a
 // comma-separated list of scale factors (the JSON payload becomes an array
 // when more than one scale is swept).
 //
 // With -faults, Queries 1–5 run under deterministic injected storage read
-// faults (-seeds fault sites per query) and aggressive deadlines, both
-// tuple-at-a-time and batched. Every run must end in an
+// faults (-seeds fault sites per query) and aggressive deadlines, at width 1
+// and at the default width. Every run must end in an
 // accepted outcome — clean baseline-identical rows, an error wrapping the
 // injected fault, a DNF, or a deadline error — with zero pinned buffer-pool
 // frames afterwards; -json writes BENCH_faults.json. Fault and timeout runs
@@ -40,12 +40,12 @@
 // per-operator est-vs-actual trees are printed and, with -json, written to
 // BENCH_profile.json.
 //
-// With -transfer, Queries 3–5 run with predicate transfer off and on, both
-// tuple-at-a-time and batched: a prepass builds a Bloom filter per join-key
-// equivalence class and the main scans probe the received filters before
-// decoding. Transfer-on results must be identical to transfer-off in both
-// modes, and the batched cells must charge exactly what the tuple cells
-// charge, transfer off and on; the report compares wall time,
+// With -transfer, Queries 3–5 run with predicate transfer off and on, at
+// width 1 and at the default width: a prepass builds a Bloom filter per
+// join-key equivalence class and the main scans probe the received filters
+// before decoding. Transfer-on results must be identical to transfer-off at
+// both widths, and the default-width cells must charge exactly what the
+// width-1 cells charge, transfer off and on; the report compares wall time,
 // charged cost (filter builds and probes are charged — transfer is never
 // free), rows pruned, and filter false-positive rates. -json writes
 // BENCH_transfer.json.
@@ -62,8 +62,9 @@
 // With -topk, ORDER BY … LIMIT k queries run with top-k execution off (full
 // facade sort) and on (bounded-heap TopK, or an early-terminating Limit over
 // an index-order scan when the ORDER BY key is a unique indexed column),
-// tuple-at-a-time and batched, at k ∈ {1, 10, 100, 1000}. Top-k-on results
-// must be row-for-row identical to top-k-off in both modes, and the ordered-index flagship at k=10 must cut the
+// at width 1 and at the default width, at k ∈ {1, 10, 100, 1000}. Top-k-on
+// results must be row-for-row identical to top-k-off at both widths, and the
+// ordered-index flagship at k=10 must cut the
 // charged cost at least 2× — the limit has to reach the scan, not just the
 // sort. -json writes BENCH_topk.json.
 //

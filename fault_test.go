@@ -1,8 +1,8 @@
 package predplace_test
 
 // The randomized fault sweep: benchmark queries run under deterministic
-// injected read faults and aggressive deadlines, tuple-at-a-time and
-// batched. Per seed, every run must
+// injected read faults and aggressive deadlines, at width 1 and at the
+// default batch width. Per seed, every run must
 // end in an accepted outcome — clean rows identical to the fault-free
 // baseline, an error wrapping the injected fault, a DNF, or a deadline
 // error — with zero pinned buffer-pool frames and the goroutine baseline

@@ -13,7 +13,7 @@ import (
 )
 
 // abortBatchSizes are the BatchSize settings every abort-path regression
-// runs over: tuple-at-a-time and batched.
+// runs over: width 1 and the default width.
 var abortBatchSizes = []int{1, 256}
 
 // waitTeardown polls until the executor's teardown contract holds: zero
@@ -120,8 +120,8 @@ func TestDeadlineTeardownMatrix(t *testing.T) {
 }
 
 // TestCancelDuringJoin cancels mid-join (hash build past the 1024-row
-// cadence) to exercise the join operators' abort paths, tuple-at-a-time and
-// batched.
+// cadence) to exercise the join operators' abort paths at width 1 and at
+// the default width.
 func TestCancelDuringJoin(t *testing.T) {
 	db, env := newEnv(t, []int{1, 9}, false)
 	q, err := query.NewQuery([]string{"t1", "t9"}, []*query.Predicate{{

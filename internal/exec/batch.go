@@ -1,13 +1,10 @@
 package exec
 
-// Batch-at-a-time execution: the optional NextBatch fast path of the
-// Volcano contract, plus the allocation discipline (slab row allocation,
-// pooled batch buffers) that makes the batched hot paths allocation-free
-// per tuple. Tuple-at-a-time Next remains the semantic ground truth: a
-// batched operator must produce exactly the rows, order, and charged cost
-// of its Next loop, because batching only amortizes per-row interface
-// calls, lock acquisitions, and allocations — the paper's charged cost is
-// per-tuple and independent of batch boundaries.
+// The allocation discipline of the NextBatch contract (see Iterator):
+// slab row allocation and pooled batch buffers make the hot paths
+// allocation-free per tuple, and nextRow is the one-row adapter for the
+// row-driven consumers. The paper's charged cost is per tuple, so a query's
+// rows, row order and charged cost are the same at every batch width.
 
 import (
 	"sync"
@@ -21,62 +18,43 @@ import (
 // 100-byte tuples stays cache-warm.
 const DefaultBatchSize = 256
 
-// BatchIterator is the optional batch fast path of the iterator contract.
-//
-// NextBatch fills dst with up to len(dst) rows and returns how many were
-// produced. n == 0 with a nil error signals exhaustion (the analog of
-// Next's ok=false); errors imply n == 0 — an erroring call produces no
-// rows. Implementations must not retain dst (or any reslice of it) across
-// calls; rows written into dst are owned by the caller. Open/Close
-// semantics are unchanged from Iterator.
-type BatchIterator interface {
-	Iterator
-	NextBatch(dst []expr.Row) (int, error)
+// nextRow pulls one row from it through a width-1 NextBatch into the
+// caller's one-slot buffer. The nested-loop and index-nested-loop joins
+// drive their outer input with it, so the outer subtree advances one row
+// per inner rescan or index probe and its page reads interleave with them
+// row by row, whatever the query's batch width.
+func nextRow(it Iterator, one *[1]expr.Row) (expr.Row, bool, error) {
+	n, err := it.NextBatch(one[:])
+	if err != nil || n == 0 {
+		return nil, false, err
+	}
+	return one[0], true, nil
 }
 
-// nextBatch fills dst from it, taking the batch fast path when the
-// operator implements it and falling back to per-tuple Next calls
-// otherwise, so every operator composes with batched consumers unmodified.
-func nextBatch(it Iterator, dst []expr.Row) (int, error) {
-	if b, ok := it.(BatchIterator); ok {
-		return b.NextBatch(dst)
-	}
-	n := 0
-	for n < len(dst) {
-		row, ok, err := it.Next()
-		if err != nil {
-			return 0, err
-		}
-		if !ok {
-			break
-		}
-		dst[n] = row
-		n++
-	}
-	return n, nil
-}
-
-// slabValues is the size in values of one row-slab allocation.
-const slabValues = 4096
+// A rowAlloc's first slab holds firstSlabValues values and each later one
+// twice the last, up to slabValues: an operator that emits a handful of
+// rows (a selective merge or index join) allocates little, and a long
+// stream still amortizes one allocation over slabValues values.
+const (
+	firstSlabValues = 256
+	slabValues      = 4096
+)
 
 // rowAlloc carves rows out of contiguous value slabs: one slab allocation
-// amortizes across slabValues/width rows instead of one allocation per
-// row. Carved rows are never recycled — consumers may retain them freely
-// (result sets, hash-join builds) — the slab simply becomes garbage when
-// its rows do.
+// amortizes across many rows instead of one allocation per row. Carved
+// rows are never recycled — consumers may retain them freely (result sets,
+// hash-join builds) — the slab simply becomes garbage when its rows do.
 type rowAlloc struct {
 	slab []expr.Value
+	size int // values in the last slab allocated
 }
 
 // next returns a zeroed row of the given width carved from the current
 // slab, starting a fresh slab when the current one is exhausted.
 func (a *rowAlloc) next(width int) expr.Row {
 	if len(a.slab) < width {
-		n := slabValues
-		if n < width {
-			n = width
-		}
-		a.slab = make([]expr.Value, n)
+		a.size = min(max(2*a.size, firstSlabValues), slabValues)
+		a.slab = make([]expr.Value, max(a.size, width))
 	}
 	row := expr.Row(a.slab[:width:width])
 	a.slab = a.slab[width:]

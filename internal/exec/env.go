@@ -4,8 +4,8 @@
 // reports the paper's measurement: charged cost = physical page I/Os +
 // synthetic spill I/Os + Σ (invocations × per-call cost).
 //
-// Each query runs on one goroutine: a serial operator tree, tuple-at-a-time
-// or batched (Env.BatchSize). Env's accounting is still concurrency-safe,
+// Each query runs on one goroutine: a serial operator tree that moves rows
+// in batches of Env.BatchSize. Env's accounting is still concurrency-safe,
 // because any number of sessions execute their own Envs at once over one
 // shared catalog, pool and disk.
 package exec
@@ -45,8 +45,8 @@ type Env struct {
 	// Ctx, when non-nil, cancels the query: every operator observes it on
 	// the same cadence as the charged-cost budget check (checkAbort), so a
 	// canceled or timed-out query unwinds promptly through the ordinary
-	// error path — tuple-at-a-time and batched alike — with no extra
-	// charges on the fault-free path.
+	// error path — at every batch width — with no extra charges on the
+	// fault-free path.
 	Ctx context.Context
 	// Cat resolves tables and functions.
 	Cat *catalog.Catalog
@@ -60,12 +60,11 @@ type Env struct {
 	Budget float64
 	// CountOnly discards result rows, keeping only the count.
 	CountOnly bool
-	// BatchSize sets the rows-per-batch width of the vectorized NextBatch
-	// fast path: 0 uses DefaultBatchSize, 1 disables batching entirely
-	// (exact legacy tuple-at-a-time execution), larger values batch that
-	// many rows per call. Charged cost is per-tuple and batched operators
-	// preserve serial evaluation order, so results and charged cost are
-	// identical at every setting.
+	// BatchSize is the rows-per-NextBatch width: 0 uses DefaultBatchSize,
+	// and any other value (below 1 counts as 1) batches that many rows per
+	// call. It is a width only — every width runs the same operators.
+	// Charged cost is per tuple and operators preserve serial evaluation
+	// order, so results and charged cost are identical at every width.
 	BatchSize int
 	// Profile enables per-operator runtime profiling (EXPLAIN ANALYZE v2):
 	// every operator is wrapped in an instrumented iterator measuring wall
@@ -123,7 +122,7 @@ type Env struct {
 	prof map[plan.Node]*opCounters
 }
 
-// batchSize returns the effective NextBatch width (1 = tuple-at-a-time).
+// batchSize returns the effective NextBatch width.
 func (e *Env) batchSize() int {
 	if e.BatchSize == 0 {
 		return DefaultBatchSize
@@ -132,6 +131,15 @@ func (e *Env) batchSize() int {
 		return 1
 	}
 	return e.BatchSize
+}
+
+// streamWidth is how many input rows a streaming operator (the hash join's
+// probe side, the nested loop's inner) pulls per refill when its caller
+// asked for want output rows: the batch width, but never more than asked.
+// A row-driven consumer's width-1 pull thereby reaches through the
+// operators below it, keeping their page reads in step with its own.
+func (e *Env) streamWidth(want int) int {
+	return min(want, e.batchSize())
 }
 
 // begin resets the per-query state at query start: a fresh private I/O

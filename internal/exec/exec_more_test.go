@@ -66,14 +66,31 @@ func TestMergeJoinDuplicateRunsBothSides(t *testing.T) {
 	}
 }
 
+// TestNextBeforeOpenFails: NextBatch on an iterator that was never opened
+// errors instead of producing rows — for the scans and for the merge join,
+// whose inputs are only materialized by Open.
 func TestNextBeforeOpenFails(t *testing.T) {
-	db, env := newEnv(t, []int{1}, false)
-	it, err := Build(env, scanNode(t, db.Cat, "t1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := it.Next(); err == nil {
-		t.Fatal("Next before Open should error")
+	db, env := newEnv(t, []int{1, 2}, false)
+	q, _ := query.NewQuery([]string{"t1", "t2"}, []*query.Predicate{
+		{Kind: query.KindJoinCmp, Op: expr.OpEQ,
+			Left: query.ColRef{Table: "t1", Col: "ua1"}, Right: query.ColRef{Table: "t2", Col: "ua1"}},
+	})
+	query.Analyze(db.Cat, q)
+	outer, inner := scanNode(t, db.Cat, "t1"), scanNode(t, db.Cat, "t2")
+	merge := &plan.Join{Method: plan.MergeJoin, Outer: outer, Inner: inner,
+		Primary: q.Preds[0], SortOuter: true, SortInner: true}
+	merge.ColRefs = plan.ConcatCols(outer, inner)
+	eq := expr.I(1)
+	index := &plan.IndexScan{Table: "t1", Col: "a1", Eq: &eq, ColRefs: outer.ColRefs}
+	for _, n := range []plan.Node{outer, index, merge} {
+		it, err := Build(env, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]expr.Row, 4)
+		if k, err := it.NextBatch(buf); err == nil || k != 0 {
+			t.Fatalf("%s: NextBatch before Open = (%d, %v), want an error", n.Describe(), k, err)
+		}
 	}
 }
 
@@ -179,16 +196,17 @@ func TestConcurrentReadOnlyQueries(t *testing.T) {
 				return
 			}
 			n := 0
+			buf := make([]expr.Row, 7)
 			for {
-				_, ok, err := it.Next()
+				k, err := it.NextBatch(buf)
 				if err != nil {
 					errs <- err
 					return
 				}
-				if !ok {
+				if k == 0 {
 					break
 				}
-				n++
+				n += k
 			}
 			it.Close()
 			if n != int(tab.Card) {

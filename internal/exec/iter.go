@@ -10,12 +10,21 @@ import (
 	"predplace/internal/storage"
 )
 
-// Iterator is the Volcano operator interface.
+// Iterator is the Volcano operator interface, batch at a time: one
+// contract, and every operator implements it natively.
+//
+// NextBatch fills dst with up to len(dst) rows and returns how many it
+// produced; n == 0 with a nil error signals exhaustion, and an error
+// implies n == 0. Implementations must not retain dst (or any reslice of
+// it) across calls; the rows written into it belong to the caller. A width
+// of 1 is the strictest batch-boundary case of the same code, not a
+// different executor: rows, row order and charged cost are the same at
+// every width. NextBatch before Open is an error.
 type Iterator interface {
-	// Open prepares the iterator for Next calls.
+	// Open prepares the iterator for NextBatch calls.
 	Open() error
-	// Next produces the next row; ok=false signals exhaustion.
-	Next() (row expr.Row, ok bool, err error)
+	// NextBatch produces the next rows into dst; 0 signals exhaustion.
+	NextBatch(dst []expr.Row) (int, error)
 	// Close releases resources. Safe to call more than once.
 	Close() error
 }
@@ -104,43 +113,11 @@ func (s *seqScanIter) Open() error {
 	return nil
 }
 
-func (s *seqScanIter) Next() (expr.Row, bool, error) {
-	if s.it == nil {
-		return nil, false, fmt.Errorf("exec: Next before Open on SeqScan(%s)", s.tab.Name)
-	}
-	for {
-		rec, _, ok, err := s.it.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		s.count++
-		if s.count%1024 == 0 {
-			if err := s.e.checkAbort(); err != nil {
-				return nil, false, err
-			}
-		}
-		if len(s.probes) > 0 {
-			keep, err := s.e.probeRecord(s.tab.Codec, rec, s.probes, s.tc)
-			if err != nil {
-				return nil, false, err
-			}
-			if !keep {
-				continue
-			}
-		}
-		row, err := s.tab.Codec.Decode(rec)
-		if err != nil {
-			return nil, false, err
-		}
-		return row, true, nil
-	}
-}
-
 // NextBatch is the vectorized scan: records are referenced in place on the
 // pinned page (no per-record copy) and decoded straight into slab-carved
 // rows — one slab allocation per ~slabValues values instead of two
-// allocations per row. Page I/O, scan order, and budget-check cadence are
-// identical to the Next path.
+// allocations per row. Page I/O and scan order do not depend on the width;
+// the budget check runs every 1024 records.
 func (s *seqScanIter) NextBatch(dst []expr.Row) (int, error) {
 	if s.it == nil {
 		return 0, fmt.Errorf("exec: NextBatch before Open on SeqScan(%s)", s.tab.Name)
@@ -205,6 +182,8 @@ type indexScanIter struct {
 	rng    *btree.Iter
 	count  int
 	alloc  rowAlloc
+	row    expr.Row // the row decode fills
+	decode func(rec []byte) error
 	memo   catalog.DecodeMemo
 	probes []tableProbe
 	tc     *opCounters
@@ -219,6 +198,7 @@ func newIndexScan(e *Env, s *plan.IndexScan) (Iterator, error) {
 		return nil, fmt.Errorf("exec: no index on %s.%s", s.Table, s.Col)
 	}
 	it := &indexScanIter{e: e, node: s, tab: tab}
+	it.decode = func(rec []byte) error { return tab.Codec.DecodeIntoMemo(rec, it.row, &it.memo) }
 	if e.prof != nil {
 		it.tc = e.nodeProf(s)
 	}
@@ -267,43 +247,15 @@ func (s *indexScanIter) nextTID() (storage.TID, bool) {
 	return tid, true
 }
 
-func (s *indexScanIter) Next() (expr.Row, bool, error) {
-	for {
-		tid, ok := s.nextTID()
-		if !ok {
-			return nil, false, nil
-		}
-		s.count++
-		if s.count%1024 == 0 {
-			if err := s.e.checkAbort(); err != nil {
-				return nil, false, err
-			}
-		}
-		rec, err := s.heap.Get(tid)
-		if err != nil {
-			return nil, false, err
-		}
-		row, err := s.tab.Codec.Decode(rec)
-		if err != nil {
-			return nil, false, err
-		}
-		// Index fetches already paid the random I/O, so received filters are
-		// probed on the decoded row; pruning saves the operators above.
-		if len(s.probes) > 0 && !s.e.probeRow(row, s.probes, s.tc) {
-			continue
-		}
-		return row, true, nil
-	}
-}
-
 // NextBatch fetches matching heap tuples in batch, decoding each record in
 // place under its page pin (HeapFile.View) into slab-carved rows instead
-// of copying record bytes out. Fetch order, page I/O, and budget cadence
-// match the Next path.
+// of copying record bytes out. Fetch order and page I/O do not depend on
+// the width; the budget check runs every 1024 fetches.
 func (s *indexScanIter) NextBatch(dst []expr.Row) (int, error) {
+	if s.heap == nil {
+		return 0, fmt.Errorf("exec: NextBatch before Open on IndexScan(%s.%s)", s.tab.Name, s.node.Col)
+	}
 	width := len(s.tab.Columns)
-	var row expr.Row
-	decode := func(rec []byte) error { return s.tab.Codec.DecodeIntoMemo(rec, row, &s.memo) }
 	n := 0
 	for n < len(dst) {
 		tid, ok := s.nextTID()
@@ -316,10 +268,13 @@ func (s *indexScanIter) NextBatch(dst []expr.Row) (int, error) {
 				return 0, err
 			}
 		}
-		row = s.alloc.next(width)
-		if err := s.heap.View(tid, decode); err != nil {
+		row := s.alloc.next(width)
+		s.row = row
+		if err := s.heap.View(tid, s.decode); err != nil {
 			return 0, err
 		}
+		// Index fetches already paid the random I/O, so received filters are
+		// probed on the decoded row; pruning saves the operators above.
 		if len(s.probes) > 0 && !s.e.probeRow(row, s.probes, s.tc) {
 			continue
 		}
@@ -350,28 +305,6 @@ type filterIter struct {
 
 func (f *filterIter) Open() error { return f.in.Open() }
 
-func (f *filterIter) Next() (expr.Row, bool, error) {
-	for {
-		row, ok, err := f.in.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		f.count++
-		if f.count%32 == 0 {
-			if err := f.e.checkAbort(); err != nil {
-				return nil, false, err
-			}
-		}
-		pass, err := f.pred.holds(f.e, row)
-		if err != nil {
-			return nil, false, err
-		}
-		if pass {
-			return row, true, nil
-		}
-	}
-}
-
 // NextBatch pulls a batch from the input and evaluates the predicate over
 // the whole batch (holdsBatch), compacting survivors into dst. Looping
 // until at least one row passes keeps the n==0-means-exhausted contract.
@@ -385,7 +318,7 @@ func (f *filterIter) NextBatch(dst []expr.Row) (int, error) {
 		f.keep = make([]bool, want)
 	}
 	for {
-		m, err := nextBatch(f.in, f.buf[:want])
+		m, err := f.in.NextBatch(f.buf[:want])
 		if err != nil {
 			return 0, err
 		}
@@ -419,19 +352,8 @@ type countIter struct {
 
 func (c *countIter) Open() error { return c.in.Open() }
 
-func (c *countIter) Next() (expr.Row, bool, error) {
-	row, ok, err := c.in.Next()
-	if ok {
-		*c.rows++
-	}
-	return row, ok, err
-}
-
-// NextBatch forwards the batch fast path through the EXPLAIN ANALYZE
-// counter — without this, the tracing wrapper Run installs around every
-// operator would degrade the whole tree to tuple-at-a-time.
 func (c *countIter) NextBatch(dst []expr.Row) (int, error) {
-	n, err := nextBatch(c.in, dst)
+	n, err := c.in.NextBatch(dst)
 	if err != nil {
 		return 0, err
 	}

@@ -29,22 +29,24 @@ func buildJoin(e *Env, j *plan.Join) (Iterator, error) {
 	return nil, fmt.Errorf("exec: unknown join method %v", j.Method)
 }
 
-// nlJoinIter is the tuple-at-a-time nested-loop join: the inner subtree is
-// re-opened (and physically re-read through the buffer pool) once per outer
-// tuple, exactly the access pattern the paper's |S|-pages-per-outer-tuple
-// cost term models. The primary join predicate — which may be an expensive
-// function over both sides (Query 5) — is evaluated per pair.
+// nlJoinIter is the nested-loop join: the inner subtree is re-opened (and
+// physically re-read through the buffer pool) once per outer tuple, exactly
+// the access pattern the paper's |S|-pages-per-outer-tuple cost term
+// models. The outer is row-driven (nextRow). The primary join predicate —
+// which may be an expensive function over both sides (Query 5) — is
+// evaluated per pair.
 type nlJoinIter struct {
 	e        *Env
 	node     *plan.Join
 	outer    Iterator
 	inner    Iterator
 	primary  *compiledPred // nil for cross product
+	one      [1]expr.Row   // nextRow's buffer for the outer
 	outerRow expr.Row
 	haveOut  bool
 	count    int
-	// batch state: candidate-pair scratch (reused — survivors are copied to
-	// slab rows), inner batch buffer, verdicts, predicate scratch
+	// candidate-pair scratch (reused — survivors are copied to slab rows),
+	// inner batch buffer, verdicts, predicate scratch
 	pairBuf []expr.Value
 	pairs   []expr.Row
 	ibuf    []expr.Row
@@ -78,71 +80,12 @@ func joinCols(j *plan.Join) []query.ColRef { return plan.ConcatCols(j.Outer, j.I
 
 func (n *nlJoinIter) Open() error { return n.outer.Open() }
 
-func (n *nlJoinIter) Next() (expr.Row, bool, error) {
-	for {
-		if !n.haveOut {
-			row, ok, err := n.outer.Next()
-			if err != nil || !ok {
-				return nil, false, err
-			}
-			n.outerRow = row
-			n.haveOut = true
-			if n.inner != nil {
-				if err := n.inner.Close(); err != nil {
-					return nil, false, err
-				}
-			}
-			inner, err := Build(n.e, n.node.Inner)
-			if err != nil {
-				return nil, false, err
-			}
-			// Store the rebuilt inner before opening it: if Open fails the
-			// join's Close still reaches the new subtree (Close on a
-			// half-opened iterator is safe), so a mid-query Open fault cannot
-			// strand pinned pages.
-			n.inner = inner
-			if err := inner.Open(); err != nil {
-				return nil, false, err
-			}
-		}
-		for {
-			irow, ok, err := n.inner.Next()
-			if err != nil {
-				return nil, false, err
-			}
-			if !ok {
-				n.haveOut = false
-				break
-			}
-			n.count++
-			if n.count%64 == 0 {
-				if err := n.e.checkAbort(); err != nil {
-					return nil, false, err
-				}
-			}
-			out := n.outerRow.Concat(irow)
-			if n.primary != nil {
-				pass, err := n.primary.holds(n.e, out)
-				if err != nil {
-					return nil, false, err
-				}
-				if !pass {
-					continue
-				}
-			}
-			return out, true, nil
-		}
-	}
-}
-
-// NextBatch vectorizes the nested loop's hottest flaw: the Next path
-// concatenates every candidate pair before the primary predicate sees it,
-// allocating a row per pair even though most pairs fail. Here candidate
-// pairs are assembled in a reusable scratch block, the primary is evaluated
-// over the whole batch (batched cache traffic included), and only the
-// survivors are materialized into slab rows. Pair order, page I/O, and
-// charged cost match the Next path; the inner subtree is drained through
-// its own batch fast path.
+// NextBatch assembles candidate pairs in a reusable scratch block instead
+// of allocating a row per pair (most pairs fail the primary), evaluates the
+// primary over the whole block (batched cache traffic included), and
+// materializes only the survivors into slab rows. The inner subtree is read
+// in batches of streamWidth rows; pair order, page I/O and charged cost do
+// not depend on the width.
 func (n *nlJoinIter) NextBatch(dst []expr.Row) (int, error) {
 	k := len(dst)
 	if k == 0 {
@@ -160,12 +103,13 @@ func (n *nlJoinIter) NextBatch(dst []expr.Row) (int, error) {
 	if cap(n.ibuf) < n.e.batchSize() {
 		n.ibuf = make([]expr.Row, n.e.batchSize())
 	}
+	iw := n.e.streamWidth(k)
 	for {
 		// Gather up to k candidate pairs into the scratch block.
 		cand := 0
 		for cand < k {
 			if !n.haveOut {
-				row, ok, err := n.outer.Next()
+				row, ok, err := nextRow(n.outer, &n.one)
 				if err != nil {
 					return 0, err
 				}
@@ -183,8 +127,10 @@ func (n *nlJoinIter) NextBatch(dst []expr.Row) (int, error) {
 				if err != nil {
 					return 0, err
 				}
-				// As in Next: store before Open so Close reaches the new
-				// subtree even when Open fails mid-rescan.
+				// Store the rebuilt inner before opening it: if Open fails
+				// the join's Close still reaches the new subtree (Close on a
+				// half-opened iterator is safe), so a mid-query Open fault
+				// cannot strand pinned pages.
 				n.inner = inner
 				n.ipos, n.ilen = 0, 0
 				if err := inner.Open(); err != nil {
@@ -192,7 +138,7 @@ func (n *nlJoinIter) NextBatch(dst []expr.Row) (int, error) {
 				}
 			}
 			if n.ipos >= n.ilen {
-				m, err := nextBatch(n.inner, n.ibuf[:cap(n.ibuf)])
+				m, err := n.inner.NextBatch(n.ibuf[:iw])
 				if err != nil {
 					return 0, err
 				}
@@ -260,7 +206,8 @@ func (n *nlJoinIter) Close() error {
 
 // indexNLJoinIter probes the inner base table's B-tree with each outer
 // tuple's join value, fetches matching tuples, and applies the inner-side
-// residual filters to each fetched match.
+// residual filters to each fetched match. The outer is row-driven
+// (nextRow): one probe per outer row, in outer order.
 type indexNLJoinIter struct {
 	e     *Env
 	node  *plan.Join
@@ -279,11 +226,19 @@ type indexNLJoinIter struct {
 	// is off — the default path is untouched.
 	baseRows     *int64
 	residualRows []*int64
+	one          [1]expr.Row // nextRow's buffer for the outer
 	outerRow     expr.Row
-	matches      []expr.Row
-	pos          int
-	haveOut      bool
-	count        int
+	// The current outer row's surviving inner rows, decoded back to back
+	// into mvals (reused across probes; output rows are copied into alloc's
+	// slabs): matches of them, the next to emit at pos.
+	mvals   []expr.Value
+	matches int
+	pos     int
+	irow    expr.Row // the row decode fills
+	decode  func(rec []byte) error
+	memo    catalog.DecodeMemo
+	alloc   rowAlloc
+	count   int
 }
 
 func newIndexNLJoin(e *Env, j *plan.Join) (Iterator, error) {
@@ -333,6 +288,7 @@ func newIndexNLJoin(e *Env, j *plan.Join) (Iterator, error) {
 		e: e, node: j, outer: outer, tab: tab,
 		outKeyIdx: outIdx, residual: residual,
 	}
+	it.decode = func(rec []byte) error { return tab.Codec.DecodeIntoMemo(rec, it.irow, &it.memo) }
 	if e.prof != nil {
 		// Attribute the inner chain to its plan nodes: residual[i] was
 		// reversed out of BaseTable's filters, so its node is predNodes
@@ -360,62 +316,83 @@ func (n *indexNLJoinIter) Open() error {
 	return n.outer.Open()
 }
 
-func (n *indexNLJoinIter) Next() (expr.Row, bool, error) {
-	for {
-		if !n.haveOut {
-			row, ok, err := n.outer.Next()
-			if err != nil || !ok {
-				return nil, false, err
-			}
-			n.outerRow, n.haveOut, n.pos = row, true, 0
-			n.matches = n.matches[:0]
-			key := row[n.outKeyIdx]
-			if key.Kind == expr.TInt { // NULL or non-int keys match nothing
-				for _, tid := range n.tree.Probe(key.I) {
-					rec, err := n.heap.Get(tid)
-					if err != nil {
-						return nil, false, err
-					}
-					irow, err := n.tab.Codec.Decode(rec)
-					if err != nil {
-						return nil, false, err
-					}
-					if n.baseRows != nil {
-						*n.baseRows++
-					}
-					keep := true
-					for ri, f := range n.residual {
-						pass, err := f.holds(n.e, irow)
-						if err != nil {
-							return nil, false, err
-						}
-						if !pass {
-							keep = false
-							break
-						}
-						if n.residualRows != nil {
-							*n.residualRows[ri]++
-						}
-					}
-					if keep {
-						n.matches = append(n.matches, irow)
-					}
-				}
-			}
-			n.count++
-			if n.count%64 == 0 {
-				if err := n.e.checkAbort(); err != nil {
-					return nil, false, err
-				}
-			}
-		}
-		if n.pos < len(n.matches) {
-			irow := n.matches[n.pos]
+// NextBatch emits the current outer row's matches into slab rows, pulling
+// and probing the next outer row when they run out. Probe order, page I/O
+// and the every-64-outer-rows budget check do not depend on the width.
+func (n *indexNLJoinIter) NextBatch(dst []expr.Row) (int, error) {
+	w := len(n.tab.Columns)
+	k := 0
+	for k < len(dst) {
+		if n.pos < n.matches {
+			out := n.alloc.next(len(n.outerRow) + w)
+			copy(out, n.outerRow)
+			copy(out[len(n.outerRow):], n.mvals[n.pos*w:(n.pos+1)*w])
+			dst[k] = out
+			k++
 			n.pos++
-			return n.outerRow.Concat(irow), true, nil
+			continue
 		}
-		n.haveOut = false
+		row, ok, err := nextRow(n.outer, &n.one)
+		if err != nil {
+			return 0, err
+		}
+		if !ok {
+			break
+		}
+		n.outerRow = row
+		if err := n.probe(row[n.outKeyIdx]); err != nil {
+			return 0, err
+		}
+		n.count++
+		if n.count%64 == 0 {
+			if err := n.e.checkAbort(); err != nil {
+				return 0, err
+			}
+		}
 	}
+	return k, nil
+}
+
+// probe fetches key's index matches, applies the residual filters to each,
+// and keeps the survivors back to back in mvals.
+func (n *indexNLJoinIter) probe(key expr.Value) error {
+	n.mvals = n.mvals[:0]
+	n.matches, n.pos = 0, 0
+	if key.Kind != expr.TInt { // NULL or non-int keys match nothing
+		return nil
+	}
+	w := len(n.tab.Columns)
+	for _, tid := range n.tree.Probe(key.I) {
+		start := len(n.mvals)
+		n.mvals = slices.Grow(n.mvals, w)[:start+w]
+		n.irow = n.mvals[start : start+w : start+w]
+		if err := n.heap.View(tid, n.decode); err != nil {
+			return err
+		}
+		if n.baseRows != nil {
+			*n.baseRows++
+		}
+		keep := true
+		for ri, f := range n.residual {
+			pass, err := f.holds(n.e, n.irow)
+			if err != nil {
+				return err
+			}
+			if !pass {
+				keep = false
+				break
+			}
+			if n.residualRows != nil {
+				*n.residualRows[ri]++
+			}
+		}
+		if keep {
+			n.matches++
+		} else {
+			n.mvals = n.mvals[:start]
+		}
+	}
+	return nil
 }
 
 func (n *indexNLJoinIter) Close() error { return n.outer.Close() }
@@ -425,18 +402,17 @@ func (n *indexNLJoinIter) Close() error { return n.outer.Close() }
 // partition traffic is charged synthetically per tuple on both sides so the
 // measured cost matches the linear model's constants.
 type hashJoinIter struct {
-	e       *Env
-	node    *plan.Join
-	outer   Iterator
-	inner   Iterator
-	outIdx  int
-	table   joinTable
-	outRow  expr.Row
-	key     expr.Value // outRow's join key
-	cur     int32      // next matching build row for outRow, or -1
-	haveOut bool
-	count   int
-	// batch state: current outer batch, output row slab
+	e      *Env
+	node   *plan.Join
+	outer  Iterator
+	inner  Iterator
+	outIdx int
+	table  joinTable
+	outRow expr.Row
+	key    expr.Value // outRow's join key
+	cur    int32      // next matching build row for outRow, or -1
+	count  int
+	// current outer batch, output row slab
 	obuf  []expr.Row
 	opos  int
 	olen  int
@@ -518,11 +494,7 @@ func (h *hashJoinIter) Open() error {
 	if err := h.inner.Open(); err != nil {
 		return err
 	}
-	if bs := h.e.batchSize(); bs > 1 {
-		if err := h.buildBatched(bs); err != nil {
-			return err
-		}
-	} else if err := h.buildTupleAtATime(); err != nil {
+	if err := h.build(); err != nil {
 		return err
 	}
 	h.table.link()
@@ -532,28 +504,12 @@ func (h *hashJoinIter) Open() error {
 	return h.outer.Open()
 }
 
-// buildTupleAtATime is the legacy build loop (BatchSize 1).
-func (h *hashJoinIter) buildTupleAtATime() error {
-	for {
-		row, ok, err := h.inner.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		if err := h.add(row); err != nil {
-			return err
-		}
-	}
-}
-
-// buildBatched drains the inner input batch-at-a-time.
-func (h *hashJoinIter) buildBatched(bs int) error {
-	buf := getRowBuf(bs)
+// build drains the inner input into the table.
+func (h *hashJoinIter) build() error {
+	buf := getRowBuf(h.e.batchSize())
 	defer putRowBuf(buf)
 	for {
-		m, err := nextBatch(h.inner, buf)
+		m, err := h.inner.NextBatch(buf)
 		if err != nil {
 			return err
 		}
@@ -607,33 +563,15 @@ func (h *hashJoinIter) match() expr.Row {
 	return irow
 }
 
-func (h *hashJoinIter) Next() (expr.Row, bool, error) {
-	for {
-		if !h.haveOut {
-			row, ok, err := h.outer.Next()
-			if err != nil || !ok {
-				return nil, false, err
-			}
-			h.haveOut = true
-			if err := h.probeOuter(row); err != nil {
-				return nil, false, err
-			}
-		}
-		if h.cur >= 0 {
-			return h.outRow.Concat(h.match()), true, nil
-		}
-		h.haveOut = false
-	}
-}
-
-// NextBatch probes the hash table with a batch of outer rows at a time;
+// NextBatch probes the hash table with batches of streamWidth outer rows;
 // output rows are carved from a value slab instead of one Concat
-// allocation per match. Spill charges, probe order, and budget cadence
-// match the Next path exactly.
+// allocation per match. Spill charges, probe order, and budget cadence do
+// not depend on the width.
 func (h *hashJoinIter) NextBatch(dst []expr.Row) (int, error) {
 	if cap(h.obuf) < h.e.batchSize() {
 		h.obuf = make([]expr.Row, h.e.batchSize())
 	}
+	ow := h.e.streamWidth(len(dst))
 	n := 0
 	for n < len(dst) {
 		if h.cur >= 0 {
@@ -646,7 +584,7 @@ func (h *hashJoinIter) NextBatch(dst []expr.Row) (int, error) {
 			continue
 		}
 		if h.opos >= h.olen {
-			m, err := nextBatch(h.outer, h.obuf[:h.e.batchSize()])
+			m, err := h.outer.NextBatch(h.obuf[:ow])
 			if err != nil {
 				return 0, err
 			}
@@ -682,6 +620,7 @@ type mergeJoinIter struct {
 	group  []expr.Row // inner group matching current outer key
 	gpos   int
 	opened bool
+	alloc  rowAlloc
 }
 
 func newMergeJoin(e *Env, j *plan.Join) (Iterator, error) {
@@ -704,29 +643,17 @@ func drain(e *Env, n plan.Node) ([]expr.Row, error) {
 		return nil, errors.Join(err, it.Close())
 	}
 	var rows []expr.Row
-	if bs := e.batchSize(); bs > 1 {
-		buf := getRowBuf(bs)
-		defer putRowBuf(buf)
-		for {
-			m, berr := nextBatch(it, buf)
-			if berr != nil {
-				return nil, errors.Join(berr, it.Close())
-			}
-			if m == 0 {
-				return rows, it.Close()
-			}
-			rows = append(rows, buf[:m]...)
-		}
-	}
+	buf := getRowBuf(e.batchSize())
+	defer putRowBuf(buf)
 	for {
-		row, ok, err := it.Next()
+		m, err := it.NextBatch(buf)
 		if err != nil {
 			return nil, errors.Join(err, it.Close())
 		}
-		if !ok {
+		if m == 0 {
 			return rows, it.Close()
 		}
-		rows = append(rows, row)
+		rows = append(rows, buf[:m]...)
 	}
 }
 
@@ -788,15 +715,24 @@ func sortByKey(rows []expr.Row, idx int) {
 	}
 }
 
-func (m *mergeJoinIter) Next() (expr.Row, bool, error) {
+// NextBatch emits the current outer row's pairings with its inner group
+// into slab rows, then advances the merge. Output order and the once-per-
+// group budget check do not depend on the width.
+func (m *mergeJoinIter) NextBatch(dst []expr.Row) (int, error) {
 	if !m.opened {
-		return nil, false, fmt.Errorf("exec: Next before Open on MergeJoin")
+		return 0, fmt.Errorf("exec: NextBatch before Open on MergeJoin")
 	}
-	for {
+	n := 0
+	for n < len(dst) {
 		if m.gpos < len(m.group) {
-			out := m.orows[m.oi].Concat(m.group[m.gpos])
+			orow, irow := m.orows[m.oi], m.group[m.gpos]
+			out := m.alloc.next(len(orow) + len(irow))
+			copy(out, orow)
+			copy(out[len(orow):], irow)
+			dst[n] = out
+			n++
 			m.gpos++
-			return out, true, nil
+			continue
 		}
 		// Group finished: advance outer; if its key matches the previous
 		// group's key, reuse the group.
@@ -811,7 +747,7 @@ func (m *mergeJoinIter) Next() (expr.Row, bool, error) {
 			m.group, m.gpos = nil, 0
 		}
 		if m.oi >= len(m.orows) {
-			return nil, false, nil
+			return n, nil
 		}
 		okey := m.orows[m.oi][m.outIdx]
 		if okey.IsNull() {
@@ -823,7 +759,7 @@ func (m *mergeJoinIter) Next() (expr.Row, bool, error) {
 			m.ii++
 		}
 		if m.ii >= len(m.irows) {
-			return nil, false, nil
+			return n, nil
 		}
 		if m.irows[m.ii][m.inIdx].Compare(okey) > 0 {
 			m.oi++
@@ -843,9 +779,10 @@ func (m *mergeJoinIter) Next() (expr.Row, bool, error) {
 		// groups are re-found by key comparison: reset ii to start is safe
 		// because the outer only moves forward.
 		if err := m.e.checkAbort(); err != nil {
-			return nil, false, err
+			return 0, err
 		}
 	}
+	return n, nil
 }
 
 func (m *mergeJoinIter) Close() error { return nil }

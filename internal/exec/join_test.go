@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"predplace/internal/btree"
 	"predplace/internal/catalog"
 	"predplace/internal/datagen"
 	"predplace/internal/expr"
@@ -22,23 +23,29 @@ var joinTestCols = []catalog.Column{
 	{Name: "s", Type: expr.TString, FixedLen: 8},
 }
 
-// addRowsTable registers a heap table holding rows (in heap order) and
-// returns a full-width scan of it.
+// addRowsTable registers a heap table holding rows (in heap order), with a
+// B-tree on its int key k, and returns a full-width scan of it.
 func addRowsTable(t *testing.T, db *datagen.DB, name string, rows []expr.Row) *plan.SeqScan {
 	t.Helper()
 	codec, err := catalog.NewRowCodec(joinTestCols)
 	if err != nil {
 		t.Fatal(err)
 	}
+	index := btree.New(db.Disk.Accountant())
 	tab := &catalog.Table{Name: name, Columns: joinTestCols, Codec: codec,
-		TupleBytes: codec.Width(), Heap: storage.NewHeapFile(db.Pool), Card: int64(len(rows))}
+		TupleBytes: codec.Width(), Heap: storage.NewHeapFile(db.Pool), Card: int64(len(rows)),
+		Indexes: map[string]*btree.Tree{"k": index}}
 	for _, r := range rows {
 		rec, err := codec.Encode(r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := tab.Heap.Insert(rec); err != nil {
+		tid, err := tab.Heap.Insert(rec)
+		if err != nil {
 			t.Fatal(err)
+		}
+		if !r[1].IsNull() {
+			index.Insert(r[1].I, tid)
 		}
 	}
 	if err := db.Cat.AddTable(tab); err != nil {
@@ -47,23 +54,34 @@ func addRowsTable(t *testing.T, db *datagen.DB, name string, rows []expr.Row) *p
 	return scanNode(t, db.Cat, name)
 }
 
-// runJoinRows executes an equijoin of outer.ocol = inner.icol with the given
-// method at one batch width and returns its rows in delivered order.
-func runJoinRows(t *testing.T, db *datagen.DB, m plan.JoinMethod, outer, inner *plan.SeqScan,
-	ocol, icol string, batch int) []expr.Row {
+// runJoin executes an equijoin of outer.ocol = inner.icol with the given
+// method at one batch width (an index nested loop probes inner's index on
+// icol) and returns the result, rows in delivered order.
+func runJoin(t *testing.T, db *datagen.DB, m plan.JoinMethod, outer, inner *plan.SeqScan,
+	ocol, icol string, batch int) *Result {
 	t.Helper()
 	pred := &query.Predicate{Kind: query.KindJoinCmp, Op: expr.OpEQ,
 		Left:  query.ColRef{Table: outer.Table, Col: ocol},
 		Right: query.ColRef{Table: inner.Table, Col: icol}}
 	j := &plan.Join{Method: m, Outer: outer, Inner: inner, Primary: pred,
 		SortOuter: true, SortInner: true}
+	if m == plan.IndexNestLoop {
+		j.InnerIndexCol = icol
+	}
 	j.ColRefs = plan.ConcatCols(outer, inner)
 	env := &Env{Cat: db.Cat, Pool: db.Pool, Cache: pcache.NewManager(false, 0), BatchSize: batch}
 	res, err := Run(env, j)
 	if err != nil {
 		t.Fatalf("%v %s=%s BS=%d: %v", m, ocol, icol, batch, err)
 	}
-	return res.Rows
+	return res
+}
+
+// stableSorted returns rows stably sorted by column idx.
+func stableSorted(rows []expr.Row, idx int) []expr.Row {
+	out := slices.Clone(rows)
+	slices.SortStableFunc(out, func(a, b expr.Row) int { return a[idx].Compare(b[idx]) })
+	return out
 }
 
 // refJoin is the reference equijoin: outer order × inner order, keeping
@@ -91,6 +109,10 @@ func rowsEqual(a, b []expr.Row) bool {
 // inner arrival order, NULL keys on either side match nothing, string keys
 // join, and neither two distinct int keys sharing a bucket nor an int key
 // sharing a bucket with a bool key of the same payload match each other.
+// The index nested loop (on the indexed int key) and the merge join (against
+// the reference over stably sorted inputs) are held to the same cases. Every
+// method must return the same rows, order and charged cost at widths 1, 2,
+// 3 and 256.
 func TestHashJoinMatchesNestedLoop(t *testing.T) {
 	db, err := datagen.Build(datagen.Config{Scale: 0.02, Tables: []int{1}})
 	if err != nil {
@@ -168,14 +190,30 @@ func TestHashJoinMatchesNestedLoop(t *testing.T) {
 		{"k", "b", bools, bscan, false}, // the same, sharing a bucket
 	}
 	for _, c := range cases {
-		want := refJoin(outer, c.inner, idx[c.ocol], idx[c.icol])
-		if (len(want) > 0) != c.wantRows {
-			t.Fatalf("%s=%s.%s: reference has %d rows", c.ocol, c.scan.Table, c.icol, len(want))
+		oi, ii := idx[c.ocol], idx[c.icol]
+		ref := refJoin(outer, c.inner, oi, ii)
+		if (len(ref) > 0) != c.wantRows {
+			t.Fatalf("%s=%s.%s: reference has %d rows", c.ocol, c.scan.Table, c.icol, len(ref))
 		}
-		for _, bs := range []int{1, 256} {
-			got := runJoinRows(t, db, plan.HashJoin, oscan, c.scan, c.ocol, c.icol, bs)
-			if !rowsEqual(got, want) {
-				t.Fatalf("%s=%s.%s BS=%d:\ngot  %v\nwant %v", c.ocol, c.scan.Table, c.icol, bs, got, want)
+		for _, m := range []plan.JoinMethod{plan.HashJoin, plan.IndexNestLoop, plan.MergeJoin} {
+			want := ref
+			switch {
+			case m == plan.IndexNestLoop && c.icol != "k":
+				continue // only k is indexed
+			case m == plan.MergeJoin:
+				want = refJoin(stableSorted(outer, oi), stableSorted(c.inner, ii), oi, ii)
+			}
+			var charged float64
+			for i, bs := range []int{1, 2, 3, 256} {
+				res := runJoin(t, db, m, oscan, c.scan, c.ocol, c.icol, bs)
+				if !rowsEqual(res.Rows, want) {
+					t.Fatalf("%v %s=%s.%s BS=%d:\ngot  %v\nwant %v", m, c.ocol, c.scan.Table, c.icol, bs, res.Rows, want)
+				}
+				if i == 0 {
+					charged = res.Stats.Charged()
+				} else if got := res.Stats.Charged(); got != charged {
+					t.Fatalf("%v %s=%s.%s BS=%d: charged %v, BS=1 charged %v", m, c.ocol, c.scan.Table, c.icol, bs, got, charged)
+				}
 			}
 		}
 	}
@@ -201,7 +239,7 @@ func TestMergeJoinStableOrder(t *testing.T) {
 			t.Fatalf("%s: only %d rows; the test needs heavy duplication", col, len(want))
 		}
 		for _, bs := range []int{1, 256} {
-			got := runJoinRows(t, db, plan.MergeJoin, outer, inner, col, col, bs)
+			got := runJoin(t, db, plan.MergeJoin, outer, inner, col, col, bs).Rows
 			if !rowsEqual(got, want) {
 				t.Fatalf("%s BS=%d: merge join order differs from the stable-sort reference (%d vs %d rows)",
 					col, bs, len(got), len(want))

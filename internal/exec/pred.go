@@ -138,8 +138,8 @@ func (cp *compiledPred) holds(e *Env, row expr.Row) (bool, error) {
 }
 
 // budgetEvery is the input-row cadence of filter abort checks — budget and
-// cancellation alike (matching the legacy tuple-at-a-time filter's
-// every-32-rows check).
+// cancellation alike — counted in rows, so it does not depend on the batch
+// width.
 const budgetEvery = 32
 
 // predScratch holds the reusable buffers of batched predicate evaluation,

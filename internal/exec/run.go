@@ -110,43 +110,27 @@ func Run(e *Env, root plan.Node) (*Result, error) {
 	return res, nil
 }
 
-// pump opens the iterator and drains it into res, returning the number of
-// rows produced. The caller owns closing the iterator. With batching on
-// (Env.BatchSize != 1) it drives the tree through the NextBatch fast path;
-// BatchSize 1 runs the exact legacy tuple-at-a-time loop.
+// pump opens the iterator and drains it into res in batches of the Env's
+// width, returning the number of rows produced. The caller owns closing
+// the iterator.
 func pump(e *Env, it Iterator, res *Result) (int, error) {
 	if err := it.Open(); err != nil {
 		return 0, err
 	}
 	rows := 0
-	if bs := e.batchSize(); bs > 1 {
-		buf := getRowBuf(bs)
-		defer putRowBuf(buf)
-		for {
-			n, err := nextBatch(it, buf)
-			if err != nil {
-				return rows, err
-			}
-			if n == 0 {
-				return rows, nil
-			}
-			rows += n
-			if !e.CountOnly {
-				res.Rows = append(res.Rows, buf[:n]...)
-			}
-		}
-	}
+	buf := getRowBuf(e.batchSize())
+	defer putRowBuf(buf)
 	for {
-		row, ok, err := it.Next()
+		n, err := it.NextBatch(buf)
 		if err != nil {
 			return rows, err
 		}
-		if !ok {
+		if n == 0 {
 			return rows, nil
 		}
-		rows++
+		rows += n
 		if !e.CountOnly {
-			res.Rows = append(res.Rows, row)
+			res.Rows = append(res.Rows, buf[:n]...)
 		}
 	}
 }

@@ -20,8 +20,8 @@ import (
 // topkIter implements plan.TopK. The heap is a worst-at-root max-heap over
 // the output ordering (heap[0] is the current k-th row): a new row is
 // admitted only when it beats the current boundary, displacing it. The
-// first Next/NextBatch call drains the input into the heap; emission is a
-// copy out of the sorted pooled storage — the batch path allocates nothing.
+// first NextBatch call drains the input into the heap; emission is a copy
+// out of the sorted pooled storage — it allocates nothing.
 type topkIter struct {
 	e      *Env
 	node   *plan.TopK
@@ -31,7 +31,7 @@ type topkIter struct {
 	// heap is pooled storage holding ≤ k rows; after fill it is heapsorted
 	// into output order and emitted from pos.
 	heap   []expr.Row
-	buf    []expr.Row // pooled input batch buffer (batched fill only)
+	buf    []expr.Row // pooled input batch buffer
 	pos    int
 	filled bool
 	count  int
@@ -135,9 +135,9 @@ func (t *topkIter) offer(row expr.Row) {
 	}
 }
 
-// fill drains the input into the heap (batched or tuple-at-a-time to match
-// the configured executor mode), then heapsorts the survivors in place into
-// output order. Runs once; Next/NextBatch afterwards only copy out.
+// fill drains the input into the heap, checking the budget once per input
+// batch, then heapsorts the survivors in place into output order. Runs
+// once; NextBatch afterwards only copies out.
 func (t *topkIter) fill() error {
 	if t.filled {
 		return nil
@@ -146,42 +146,23 @@ func (t *topkIter) fill() error {
 	if t.heap == nil {
 		t.heap = getRowBuf(min(int(t.node.K), DefaultBatchSize))[:0]
 	}
-	if bs := t.e.batchSize(); bs > 1 {
-		if t.buf == nil {
-			t.buf = getRowBuf(bs)
+	if t.buf == nil {
+		t.buf = getRowBuf(t.e.batchSize())
+	}
+	for {
+		n, err := t.in.NextBatch(t.buf)
+		if err != nil {
+			return err
 		}
-		for {
-			n, err := nextBatch(t.in, t.buf)
-			if err != nil {
-				return err
-			}
-			if n == 0 {
-				break
-			}
-			t.count += n
-			if err := t.e.checkAbort(); err != nil {
-				return err
-			}
-			for i := 0; i < n; i++ {
-				t.offer(t.buf[i])
-			}
+		if n == 0 {
+			break
 		}
-	} else {
-		for {
-			row, ok, err := t.in.Next()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				break
-			}
-			t.count++
-			if t.count%1024 == 0 {
-				if err := t.e.checkAbort(); err != nil {
-					return err
-				}
-			}
-			t.offer(row)
+		t.count += n
+		if err := t.e.checkAbort(); err != nil {
+			return err
+		}
+		for i := 0; i < n; i++ {
+			t.offer(t.buf[i])
 		}
 	}
 	// In-place heapsort: repeatedly swap the worst (root) to the end. The
@@ -200,18 +181,6 @@ func (t *topkIter) Open() error {
 		t.heap = t.heap[:0]
 	}
 	return t.in.Open()
-}
-
-func (t *topkIter) Next() (expr.Row, bool, error) {
-	if err := t.fill(); err != nil {
-		return nil, false, err
-	}
-	if t.pos >= len(t.heap) {
-		return nil, false, nil
-	}
-	row := t.heap[t.pos]
-	t.pos++
-	return row, true, nil
 }
 
 // NextBatch copies the next run of sorted survivors into dst — no
@@ -274,19 +243,6 @@ func (l *limitIter) shortCircuit() {
 	l.cut = true
 }
 
-func (l *limitIter) Next() (expr.Row, bool, error) {
-	if l.seen >= l.k {
-		l.shortCircuit()
-		return nil, false, nil
-	}
-	row, ok, err := l.in.Next()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	l.seen++
-	return row, true, nil
-}
-
 // NextBatch clamps the requested batch to the rows still owed, so the child
 // never overproduces past the limit by more than the last partial batch.
 func (l *limitIter) NextBatch(dst []expr.Row) (int, error) {
@@ -299,7 +255,7 @@ func (l *limitIter) NextBatch(dst []expr.Row) (int, error) {
 	if want > rem {
 		want = rem
 	}
-	n, err := nextBatch(l.in, dst[:want])
+	n, err := l.in.NextBatch(dst[:want])
 	if err != nil {
 		return 0, err
 	}

@@ -1,8 +1,8 @@
 package harness
 
 // The fault sweep: every benchmark query runs under injected storage read
-// faults and under an aggressive deadline, in both executor modes:
-// tuple-at-a-time and batched. The contract under
+// faults and under an aggressive deadline, at width 1 and at the default
+// batch width. The contract under
 // test is the executor's failure discipline, not the paper's figures: each
 // run must end in exactly one of the acceptable outcomes — a clean result
 // identical to the fault-free baseline, an error wrapping the injected
@@ -24,9 +24,8 @@ import (
 	"predplace"
 )
 
-// faultConfigs are the executor configurations the sweep crosses faults
-// with: tuple-at-a-time (BatchSize 1) and batched (BatchSize 0 = tuned
-// default).
+// faultConfigs are the batch widths the sweep crosses faults with: 1
+// ("tuple") and 0 ("batch", the tuned default).
 var faultConfigs = []struct {
 	name      string
 	batchSize int

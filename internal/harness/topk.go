@@ -2,8 +2,8 @@ package harness
 
 // The top-k benchmark: ORDER BY … LIMIT k queries run with top-k execution
 // off (facade sort over the full result) and on (bounded-heap TopK or
-// early-terminating index-order Limit), tuple-at-a-time and batched, over a
-// k sweep. Top-k execution must never
+// early-terminating index-order Limit), at width 1 and at the default batch
+// width, over a k sweep. Top-k execution must never
 // change the answer — every cell's on-rows must equal its off-rows in
 // delivered order — and the flagship ordered-index query must cut the
 // charged cost at least 2×: the point of the exercise is that the limit
@@ -77,9 +77,9 @@ type TopKBench struct {
 }
 
 // RunTopKBench runs the ORDER BY/LIMIT queries with top-k execution off and
-// on, tuple-at-a-time and batched, at k ∈ {1, 10, 100, 1000} (Migration
-// plans, caching off), comparing delivered rows, wall time, and charged
-// cost. Both top-k modes sort by the ORDER BY key with the full projected
+// on, at width 1 and at the default width, at k ∈ {1, 10, 100, 1000}
+// (Migration plans, caching off), comparing delivered rows, wall time, and
+// charged cost. Both top-k modes sort by the ORDER BY key with the full projected
 // row as tie-break, so delivered order is deterministic and must match
 // exactly.
 func (h *Harness) RunTopKBench(iters int) (*TopKBench, error) {

@@ -2,11 +2,11 @@ package harness
 
 // The predicate-transfer benchmark: Queries 3–5 (the join queries whose
 // tables prune each other through join-key filters) run with transfer off
-// and on, tuple-at-a-time and batched, on the same database (Migration
-// plans, caching off). Transfer must never change the answer — every cell's
-// on-rows must equal its off-rows — and batching must never change the
-// charged cost — the batch cell must charge exactly what the tuple cell
-// charges, with transfer off and on. The report pairs wall time with charged cost, rows pruned, and the Bloom
+// and on, at width 1 ("tuple" cells) and at the default batch width ("batch"
+// cells), on the same database (Migration plans, caching off). Transfer must
+// never change the answer — every cell's on-rows must equal its off-rows —
+// and the width must never change the charged cost — the batch cell must
+// charge exactly what the tuple cell charges, with transfer off and on. The report pairs wall time with charged cost, rows pruned, and the Bloom
 // filters' estimated (and, from one profiled run, actual) false-positive
 // rate, so a wall-clock win that the honest cost accounting does not
 // support is visible as such.
@@ -96,7 +96,7 @@ type TransferBench struct {
 }
 
 // RunTransferBench runs Queries 3–5 with predicate transfer off and on,
-// tuple-at-a-time and batched (Migration plans, caching off), comparing
+// at width 1 and at the default width (Migration plans, caching off), comparing
 // result sets, wall time, and charged cost.
 func (h *Harness) RunTransferBench(iters int) (*TransferBench, error) {
 	if iters < 1 {

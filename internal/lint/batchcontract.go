@@ -7,11 +7,11 @@ import (
 )
 
 // batchContractPathFragment restricts batchcontract to the exec package,
-// where the BatchIterator contract and its implementations live.
+// where the Iterator contract and its implementations live.
 var batchContractPathFragment = "internal/exec"
 
-// BatchContractAnalyzer enforces the exec.BatchIterator implementation
-// contract (see the BatchIterator doc comment):
+// BatchContractAnalyzer enforces the NextBatch half of the exec.Iterator
+// contract (see the Iterator doc comment):
 //
 //  1. A NextBatch method must not retain its dst buffer: assigning dst (or
 //     any reslice of it) to a field keeps a caller-owned buffer alive past

@@ -6,9 +6,9 @@ import (
 )
 
 // CloseChainAnalyzer enforces the executor's resource contract: any struct
-// type implementing the Volcano iterator shape (Open() error, Next(...), and
-// Close() error) whose fields store child iterators must call Close on every
-// such field somewhere inside its own Close method. A skipped child leaks
+// type implementing the Volcano iterator shape (Open() error, NextBatch(...)
+// or Next(...), and Close() error) whose fields store child iterators must
+// call Close on every such field somewhere inside its own Close method. A skipped child leaks
 // heap-file cursors and — worse for the paper's methodology — lets a child's
 // buffered I/O accounting escape the charged-cost measurement.
 //
@@ -67,8 +67,8 @@ func runCloseChain(pass *Pass) error {
 }
 
 // isIteratorShape reports whether t's method set (through a pointer, for
-// concrete types) carries the Volcano contract: Open() error, a Next method,
-// and Close() error.
+// concrete types) carries the Volcano contract: Open() error, a NextBatch
+// (or row-at-a-time Next) method, and Close() error.
 func isIteratorShape(t types.Type) bool {
 	ms := types.NewMethodSet(t)
 	if _, isIface := t.Underlying().(*types.Interface); !isIface {
@@ -86,7 +86,7 @@ func isIteratorShape(t types.Type) bool {
 		switch fn.Name() {
 		case "Open":
 			open = sig.Params().Len() == 0 && sig.Results().Len() == 1 && isErrorType(sig.Results().At(0).Type())
-		case "Next":
+		case "NextBatch", "Next":
 			next = true
 		case "Close":
 			close_ = sig.Params().Len() == 0 && sig.Results().Len() == 1 && isErrorType(sig.Results().At(0).Type())

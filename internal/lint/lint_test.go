@@ -122,6 +122,31 @@ func (j *badJoin) Close() error             { return j.left.Close() }
 			wantSub: `child iterator field "right"`,
 		},
 		{
+			name:     "closechain flags a NextBatch-only join skipping a child",
+			analyzer: "closechain",
+			path:     "example.com/internal/exec",
+			src: `package exec
+type Row []int
+
+type Iterator interface {
+	Open() error
+	NextBatch(dst []Row) (int, error)
+	Close() error
+}
+
+type join struct {
+	outer Iterator
+	inner Iterator
+}
+
+func (j *join) Open() error                       { return j.outer.Open() }
+func (j *join) NextBatch(dst []Row) (int, error) { return j.inner.NextBatch(dst) }
+func (j *join) Close() error                      { return j.outer.Close() }
+`,
+			want:    1,
+			wantSub: `child iterator field "inner"`,
+		},
+		{
 			name:     "closechain accepts closing every child including ranged slices",
 			analyzer: "closechain",
 			path:     "example.com/internal/exec",

@@ -6,20 +6,21 @@ import (
 )
 
 // profileCleanPathFragments restricts profileclean to the executor, whose
-// row-at-a-time contract the check protects.
+// iterator hot path the check protects.
 var profileCleanPathFragments = []string{"internal/exec"}
 
 // ProfileCleanAnalyzer guards the executor's allocation-free hot path: with
-// profiling off, Next and NextBatch must not allocate per call, or the
-// default path's allocation counts — which the batch benchmark gates on —
-// silently regress. The check is syntactic: inside an iterator method named
-// Next or NextBatch, a make, new, or slice/map composite literal is flagged
-// unless it sits under an if statement whose condition reads cap, len, or a
-// nil comparison (the grow-once idiom: allocate only when a reused buffer is
-// too small, never on the steady state). Allocation that is genuinely per
-// call belongs in Open, a helper with its own amortization, or behind the
-// profiling gate — profIter itself must stay allocation-free too, since it
-// wraps every operator when profiling is on.
+// profiling off, NextBatch (and any row-at-a-time Next) must not allocate
+// per call, or the default path's allocation counts — which the batch
+// benchmark gates on — silently regress. The check is syntactic: inside an
+// iterator method named NextBatch or Next, a make, new, or slice/map
+// composite literal is flagged unless it sits under an if statement whose
+// condition reads cap, len, or a nil comparison (the grow-once idiom:
+// allocate only when a reused buffer is too small, never on the steady
+// state). Allocation that is genuinely per call belongs in Open, a helper
+// with its own amortization, or behind the profiling gate — profIter itself
+// must stay allocation-free too, since it wraps every operator when
+// profiling is on.
 var ProfileCleanAnalyzer = &Analyzer{
 	Name: "profileclean",
 	Doc:  "flags per-call allocation in exec Next/NextBatch outside the grow-once idiom",

@@ -2,6 +2,7 @@ package optimizer
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -270,19 +271,46 @@ func (o *Optimizer) selRank(p *query.Predicate, streamCard float64) float64 {
 
 // orderByRank sorts predicates ascending by rank (the provably optimal
 // sequence for selections, §4.1); ties break by predicate ID for
-// determinism. The Naive algorithm skips this ordering.
+// determinism. The Naive algorithm skips this ordering. Each rank is
+// computed once and the (predicate, rank) pairs are stably sorted; the
+// comparator is negative exactly when the rank comparison says "less", and
+// slices.SortStableFunc runs sort.SliceStable's algorithm (both are
+// generated from one template), so the order is exactly that of comparing
+// freshly computed ranks.
 func (o *Optimizer) orderByRank(preds []*query.Predicate, streamCard float64) []*query.Predicate {
 	out := append([]*query.Predicate(nil), preds...)
+	if len(out) <= 1 {
+		return out
+	}
 	if o.opts.Algorithm == NaivePushDown {
 		sort.SliceStable(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 		return out
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		ri, rj := o.selRank(out[i], streamCard), o.selRank(out[j], streamCard)
-		if !cost.ApproxEq(ri, rj) {
-			return ri < rj
+	type ranked struct {
+		p    *query.Predicate
+		rank float64
+	}
+	rs := make([]ranked, len(out))
+	for i, p := range out {
+		rs[i] = ranked{p, o.selRank(p, streamCard)}
+	}
+	less := func(a, b ranked) bool {
+		if !cost.ApproxEq(a.rank, b.rank) {
+			return a.rank < b.rank
 		}
-		return out[i].ID < out[j].ID
+		return a.p.ID < b.p.ID
+	}
+	slices.SortStableFunc(rs, func(a, b ranked) int {
+		switch {
+		case less(a, b):
+			return -1
+		case less(b, a):
+			return 1
+		}
+		return 0
 	})
+	for i, r := range rs {
+		out[i] = r.p
+	}
 	return out
 }

@@ -88,11 +88,10 @@ type Config struct {
 	// Budget aborts queries whose charged cost exceeds it (0 = unlimited) —
 	// used to reproduce the paper's did-not-finish result for Query 5.
 	Budget float64
-	// BatchSize sets the rows-per-batch width of the executor's vectorized
-	// NextBatch fast path. 0 uses the tuned default (exec.DefaultBatchSize);
-	// 1 disables batching entirely, running the exact legacy tuple-at-a-time
-	// loops; > 1 sets the batch width. Results, row order, and charged cost
-	// are identical at every setting — batching only amortizes per-row
+	// BatchSize is the executor's rows-per-NextBatch width: 0 uses the
+	// tuned default (exec.DefaultBatchSize), any other value sets the width.
+	// Every width runs the same operators; results, row order, and charged
+	// cost are identical at every width — batching only amortizes per-row
 	// interface calls, lock acquisitions, and allocations.
 	BatchSize int
 	// Timeout bounds each query's wall-clock execution time (0 = none).
@@ -296,8 +295,8 @@ func (d *DB) SetCacheLimit(n int) {
 const DefaultBatchSize = exec.DefaultBatchSize
 
 // SetBatchSize changes the executor's batch width for subsequent queries
-// (0 = tuned default, 1 = legacy tuple-at-a-time, > 1 = that many rows per
-// batch). Results and charged cost are identical at every setting.
+// (0 = tuned default, otherwise that many rows per batch). Results and
+// charged cost are identical at every width.
 func (d *DB) SetBatchSize(n int) {
 	d.mu.Lock()
 	d.k.batchSize = n
@@ -652,12 +651,12 @@ func (d *DB) Query(sql string, algo Algorithm) (*Result, error) {
 }
 
 // QueryContext is Query with a context: cancellation or deadline expiry
-// aborts the running query promptly — tuple-at-a-time and batched
-// executors alike observe the context on the executor's budget-check
-// cadence and unwind through the ordinary error path (iterators close,
-// pages unpin). The returned error wraps the context cause,
-// so errors.Is(err, context.Canceled) / context.DeadlineExceeded hold. A
-// configured Timeout applies on top of ctx.
+// aborts the running query promptly — at every batch width the executor
+// observes the context on its budget-check cadence and unwinds through the
+// ordinary error path (iterators close, pages unpin). The returned error
+// wraps the context cause, so errors.Is(err, context.Canceled) /
+// context.DeadlineExceeded hold. A configured Timeout applies on top of
+// ctx.
 func (d *DB) QueryContext(ctx context.Context, sql string, algo Algorithm) (*Result, error) {
 	k := d.snapshot()
 	p, err := d.prepare(sql, algo, k)

@@ -32,7 +32,7 @@ var profileMatrixQueries = []string{
 // TestProfileMatrixInvariance runs each query across BatchSize {1,256} ×
 // Profile {off,on} and requires every combination to return the same result
 // multiset, charge byte-identical cost, and invoke each function the same
-// number of times as the tuple-at-a-time unprofiled baseline.
+// number of times as the width-1 unprofiled baseline.
 func TestProfileMatrixInvariance(t *testing.T) {
 	db := openBench(t, 3, 9, 10)
 	for _, sql := range profileMatrixQueries {
@@ -96,7 +96,7 @@ func analyzeTree(t *testing.T, plan string) string {
 }
 
 // TestExplainAnalyzeTraceAgreement: EXPLAIN ANALYZE must report identical
-// per-node actual counts tuple-at-a-time and batched, and never print
+// per-node actual counts at every batch width, and never print
 // actual=n/a — including for an index-nested-loop plan whose inner chain
 // executes via B-tree probes.
 func TestExplainAnalyzeTraceAgreement(t *testing.T) {
@@ -125,7 +125,7 @@ func TestExplainAnalyzeTraceAgreement(t *testing.T) {
 				continue
 			}
 			if tree != baseTree {
-				t.Fatalf("BS=%d: actual counts diverge from tuple-at-a-time:\n%s\nvs baseline:\n%s",
+				t.Fatalf("BS=%d: actual counts diverge from width 1:\n%s\nvs baseline:\n%s",
 					bs, tree, baseTree)
 			}
 		}
